@@ -22,37 +22,29 @@ from .model import (
 )
 from .oracle import brute_force_solve, dp_decision, enumerate_sorted_sums
 from .powerset import (
-    BinHeapNode,
     Frontier,
     binheap_children,
     binheap_frontier,
-    binheap_kth_smallest,
     binheap_root,
-    binheap_search,
     lower_bound_rank_search,
 )
 from .solver import (
     OrderTrace,
     SearchStats,
     SolveOutcome,
-    search_order,
     solve,
     solve_positive,
 )
 from .subset_tree import (
     SubsetTree,
-    SubsetTreeNode,
     subtree_children,
-    subtree_expand_all,
     subtree_frontier,
-    subtree_kth_smallest,
     subtree_root,
 )
 
 __all__ = [
     "I64_MAX",
     "I64_MIN",
-    "BinHeapNode",
     "CapacityError",
     "Frontier",
     "IndexSubset",
@@ -65,24 +57,18 @@ __all__ = [
     "SearchStats",
     "SolveOutcome",
     "SubsetTree",
-    "SubsetTreeNode",
     "binheap_children",
     "binheap_frontier",
-    "binheap_kth_smallest",
     "binheap_root",
-    "binheap_search",
     "brute_force_solve",
     "dp_decision",
     "enumerate_sorted_sums",
     "lower_bound_rank_search",
     "normalize",
-    "search_order",
     "solve",
     "solve_positive",
     "subtree_children",
-    "subtree_expand_all",
     "subtree_frontier",
-    "subtree_kth_smallest",
     "subtree_root",
     "unscale",
 ]

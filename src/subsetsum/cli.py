@@ -21,6 +21,7 @@ import random
 import sys
 from typing import Iterable
 
+from .checks import check_tree
 from .model import (
     CapacityError,
     InputError,
@@ -31,9 +32,8 @@ from .model import (
     normalize,
 )
 from .oracle import dp_decision
-from .powerset import binheap_children, binheap_root
 from .solver import OrderTrace, solve, solve_positive
-from .subset_tree import SubsetTree, subtree_children, subtree_root
+from .subset_tree import SubsetTree
 
 SELFTEST_VALUE_RANGE = (-15, 15)
 SELFTEST_TARGET_RANGE = (-60, 60)
@@ -221,17 +221,11 @@ def _selftest_subset_trees(rng: random.Random, max_n: int) -> bool:
     for size in range(1, max_n + 1):
         s = _random_positive_set(rng, size)
         for n in range(1, size + 1):
-            tree = SubsetTree(s, n)
-            seen = set()
-            stack = [subtree_root(s, n)]
-            while stack:
-                node = stack.pop()
-                seen.add(node.subset.indices)
-                stack.extend(subtree_children(node, tree))
-            if len(seen) != tree.total:
+            walk = check_tree(SubsetTree(s, n))
+            if not walk.complete:
                 print(
                     f"FAIL subset-tree completeness: set={list(s.scaled_values)} n={n} "
-                    f"generated {len(seen)} of {tree.total} subsets"
+                    f"generated {walk.nodes} subsets ({walk.distinct} distinct) of {walk.total}"
                 )
                 return False
     print(f"ok subset-tree completeness: all lengths up to N={max_n}")
@@ -241,16 +235,11 @@ def _selftest_subset_trees(rng: random.Random, max_n: int) -> bool:
 def _selftest_powerset(rng: random.Random, max_n: int) -> bool:
     for size in range(1, max_n + 1):
         s = _random_positive_set(rng, size)
-        seen = set()
-        stack = [binheap_root(s)]
-        while stack:
-            node = stack.pop()
-            seen.add(node.subset.indices)
-            stack.extend(binheap_children(node, s))
-        if len(seen) != (1 << size) - 1:
+        walk = check_tree(s)
+        if not walk.complete:
             print(
                 f"FAIL powerset completeness: set={list(s.scaled_values)} "
-                f"generated {len(seen)} of {(1 << size) - 1} subsets"
+                f"generated {walk.nodes} subsets ({walk.distinct} distinct) of {walk.total}"
             )
             return False
     print(f"ok powerset completeness: all sets up to N={max_n}")
@@ -260,30 +249,15 @@ def _selftest_powerset(rng: random.Random, max_n: int) -> bool:
 def _selftest_heap_order(rng: random.Random, max_n: int) -> bool:
     for size in range(1, max_n + 1):
         s = _random_positive_set(rng, size)
-        stack = [binheap_root(s)]
-        while stack:
-            node = stack.pop()
-            for child in binheap_children(node, s):
-                if child.subset.cached_sum < node.subset.cached_sum:
-                    print(
-                        f"FAIL powerset heap order: set={list(s.scaled_values)} "
-                        f"parent={node.subset} child={child.subset}"
-                    )
-                    return False
-                stack.append(child)
+        where = f"set={list(s.scaled_values)}"
+        walks = [(f"powerset heap order: {where}", check_tree(s))]
         for n in range(1, size + 1):
-            tree = SubsetTree(s, n)
-            tree_stack = [subtree_root(s, n)]
-            while tree_stack:
-                tnode = tree_stack.pop()
-                for child in subtree_children(tnode, tree):
-                    if child.subset.cached_sum < tnode.subset.cached_sum:
-                        print(
-                            f"FAIL subset-tree heap order: set={list(s.scaled_values)} n={n} "
-                            f"parent={tnode.subset} child={child.subset}"
-                        )
-                        return False
-                    tree_stack.append(child)
+            walks.append((f"subset-tree heap order: {where} n={n}", check_tree(SubsetTree(s, n))))
+        for context, walk in walks:
+            if walk.inversion is not None:
+                parent, child = walk.inversion
+                print(f"FAIL {context} parent={parent} child={child}")
+                return False
     print(f"ok heap order: parent sums <= child sums up to N={max_n}")
     return True
 

@@ -6,7 +6,9 @@ nonnegative offset chosen so the smallest scaled value is at least 1
 (already-positive inputs keep offset 0 and are left untouched). Subsets
 are stored as strictly increasing index tuples into the sorted sequence,
 which keeps duplicate values distinct and makes "advance to the next
-element" well defined.
+element" well defined. An IndexSubset is also the node type of both
+heap-ordered trees: it carries the one piece of tree state the
+fixed-length tree needs, the lowest position a node's children may advance.
 
 All types here are immutable after construction and safe to share across
 concurrent searches.
@@ -50,10 +52,15 @@ class InputSet:
         if not values:
             raise InputError("input set must contain at least one value")
         for v in values:
-            if not isinstance(v, int) or not I64_MIN <= v <= I64_MAX:
+            if not _is_i64(v):
                 raise InputError(f"value {v!r} is not a 64-bit signed integer")
-        if not isinstance(self.target, int) or not I64_MIN <= self.target <= I64_MAX:
+        if not _is_i64(self.target):
             raise InputError(f"target {self.target!r} is not a 64-bit signed integer")
+
+
+def _is_i64(v: object) -> bool:
+    """True for a 64-bit signed int; bool is an int subclass but not a number here."""
+    return isinstance(v, int) and not isinstance(v, bool) and I64_MIN <= v <= I64_MAX
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,10 +106,22 @@ class ScaledSet:
 
 
 class IndexSubset(NamedTuple):
-    """A subset as strictly increasing indices into a scaled set, plus its scaled sum."""
+    """A subset as strictly increasing indices into a scaled set, plus its scaled sum.
+
+    As a node of the fixed-length subset tree, min_modified_pos is the
+    position the node itself advanced from its parent (0 for the root); its
+    children advance only positions at or above it. Power-set tree nodes and
+    free-standing subsets leave it at 0.
+    """
 
     indices: tuple[int, ...]
     cached_sum: int
+    min_modified_pos: int = 0
+
+    @property
+    def subset(self) -> "IndexSubset":
+        """The node's subset: the node itself, for code that reads node.subset."""
+        return self
 
     @classmethod
     def from_indices(cls, indices: Sequence[int], s: ScaledSet) -> "IndexSubset":

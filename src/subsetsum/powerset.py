@@ -1,9 +1,9 @@
 """Lazy enumeration of all nonempty subsets of a positive set in sum order.
 
-The subsets form an implicit binary tree: the root is the singleton holding
-the smallest element; a node's left child replaces the subset's maximum
-element with the next one in sorted order, and its right child appends that
-next element instead. With strictly positive values both moves can only
+The subsets form an implicit binary tree whose nodes are IndexSubsets: the
+root is the singleton holding the smallest element; a node's left child
+replaces the subset's maximum element with the next one in sorted order, and
+its right child appends that next element instead. With strictly positive values both moves can only
 grow the sum, so best-first expansion pops subsets in nondecreasing sum
 order and selecting rank k touches O(k) nodes. A binary search over ranks
 then locates a target sum without materializing the power set.
@@ -17,43 +17,27 @@ from typing import Callable
 from .model import IndexSubset, RankError, ScaledSet
 
 
-class BinHeapNode:
-    """A node of the implicit binary tree over nonempty subsets."""
-
-    __slots__ = ("subset",)
-
-    def __init__(self, subset: IndexSubset) -> None:
-        self.subset = subset
-
-    @property
-    def max_index(self) -> int:
-        return self.subset.indices[-1]
-
-    def __repr__(self) -> str:
-        return f"BinHeapNode({self.subset!r})"
-
-
-def binheap_root(s: ScaledSet) -> BinHeapNode:
+def binheap_root(s: ScaledSet) -> IndexSubset:
     """Root node: the singleton subset of the smallest element."""
-    return BinHeapNode(IndexSubset((0,), s.scaled_values[0]))
+    return IndexSubset((0,), s.scaled_values[0])
 
 
-def binheap_children(node: BinHeapNode, s: ScaledSet) -> list[BinHeapNode]:
+def binheap_children(node: IndexSubset, s: ScaledSet) -> list[IndexSubset]:
     """Generate a node's children, left then right.
 
     The left child replaces the maximum element with its successor in the
     sorted set; the right child appends the successor. Both sums are >= the
     node's sum. A node whose maximum element is the last one has no children.
     """
-    nxt = node.max_index + 1
+    indices = node.indices
+    nxt = indices[-1] + 1
     if nxt >= s.size:
         return []
-    indices = node.subset.indices
-    total = node.subset.cached_sum
+    total = node.cached_sum
     step = s.scaled_values[nxt]
     return [
-        BinHeapNode(IndexSubset(indices[:-1] + (nxt,), total - s.scaled_values[indices[-1]] + step)),
-        BinHeapNode(IndexSubset(indices + (nxt,), total + step)),
+        IndexSubset(indices[:-1] + (nxt,), total - s.scaled_values[indices[-1]] + step),
+        IndexSubset(indices + (nxt,), total + step),
     ]
 
 
@@ -61,7 +45,7 @@ class Frontier:
     """Best-first expansion state over a heap-ordered subset tree.
 
     Pending nodes are popped in nondecreasing subset-sum order; equal sums
-    pop in insertion order, so every rank is deterministic. Popped subsets
+    pop in insertion order, so every rank is deterministic. Popped nodes
     are memoized, letting one binary search probe ranks in any order and
     resume expansion instead of restarting it.
 
@@ -69,9 +53,9 @@ class Frontier:
     same scaled set must each build their own.
     """
 
-    def __init__(self, root, expand: Callable) -> None:
+    def __init__(self, root: IndexSubset, expand: Callable[[IndexSubset], list[IndexSubset]]) -> None:
         self._expand = expand
-        self._heap: list[tuple[int, int, object]] = [(root.subset.cached_sum, 0, root)]
+        self._heap: list[tuple[int, int, IndexSubset]] = [(root.cached_sum, 0, root)]
         self._tie_seq = 1
         self._popped: list[IndexSubset] = []
         self.nodes_expanded = 0
@@ -91,10 +75,10 @@ class Frontier:
             if not heap:
                 raise RankError(f"rank {k} exceeds the {len(popped)} subsets in this tree")
             _, _, node = heapq.heappop(heap)
-            popped.append(node.subset)
+            popped.append(node)
             self.nodes_expanded += 1
             for child in self._expand(node):
-                heapq.heappush(heap, (child.subset.cached_sum, self._tie_seq, child))
+                heapq.heappush(heap, (child.cached_sum, self._tie_seq, child))
                 self._tie_seq += 1
         return popped[k - 1]
 
@@ -102,14 +86,6 @@ class Frontier:
 def binheap_frontier(s: ScaledSet) -> Frontier:
     """Fresh expansion state over the tree of all nonempty subsets of s."""
     return Frontier(binheap_root(s), lambda node: binheap_children(node, s))
-
-
-def binheap_kth_smallest(s: ScaledSet, k: int) -> IndexSubset:
-    """The k-th smallest nonempty subset by scaled sum, 1 <= k <= 2^N - 1."""
-    total = (1 << s.size) - 1
-    if not 1 <= k <= total:
-        raise RankError(f"rank {k} outside [1, {total}]")
-    return binheap_frontier(s).select(k)
 
 
 def lower_bound_rank_search(
@@ -145,8 +121,3 @@ def lower_bound_rank_search(
         return candidate, probes
     return None, probes
 
-
-def binheap_search(s: ScaledSet, target: int) -> IndexSubset | None:
-    """Find any nonempty subset of s whose scaled sum equals target, or None."""
-    found, _ = lower_bound_rank_search(binheap_frontier(s), (1 << s.size) - 1, target)
-    return found

@@ -72,27 +72,31 @@ def _search_order(
     rank_log: list[int] | None = None,
     range_check: bool = True,
 ) -> tuple[IndexSubset | None, int, int]:
-    """Search one length; returns (subset or None, probes, nodes expanded)."""
-    tree = SubsetTree(s, n)
+    """Search one length; returns (subset or None, probes, nodes expanded).
+
+    Targets outside the reachable window, below the sum of the n smallest
+    scaled values or above the sum of the n largest, miss with zero probes.
+    """
     if range_check:
         lowest = sum(s.scaled_values[:n])
         highest = sum(s.scaled_values[-n:])
         if not lowest <= scaled_target <= highest:
             return None, 0, 0
+    tree = SubsetTree(s, n)
     frontier = subtree_frontier(tree)
     found, probes = lower_bound_rank_search(frontier, tree.total, scaled_target, rank_log)
     return found, probes, frontier.nodes_expanded
 
 
-def search_order(s: ScaledSet, n: int, scaled_target: int) -> tuple[IndexSubset | None, int]:
-    """Search the length-n tree for a subset with the rescaled target sum.
+def _unscale_checked(found: IndexSubset, s: ScaledSet, target: int) -> tuple[int, ...]:
+    """Map a found subset back to original values; a wrong sum is an internal fault.
 
-    Returns the subset (or None) and the number of rank probes made.
-    Targets outside the reachable window, below the sum of the n smallest
-    scaled values or above the sum of the n largest, miss with zero probes.
+    The check raises rather than asserts so that it also runs under python -O.
     """
-    found, probes, _ = _search_order(s, n, scaled_target)
-    return found, probes
+    values = unscale(found, s)
+    if sum(values) != target:
+        raise RuntimeError(f"internal fault: found subset {values} does not sum to the target {target}")
+    return values
 
 
 def solve(
@@ -125,8 +129,7 @@ def solve(
         if trace is not None:
             trace.append(OrderTrace(order, scaled_target, tuple(rank_log or ()), found is not None))
         if found is not None:
-            values = unscale(found, s)
-            assert sum(values) == input_set.target
+            values = _unscale_checked(found, s, input_set.target)
             break
     stats.elapsed_ns = time.perf_counter_ns() - started
     return SolveOutcome(values, stats)
@@ -151,9 +154,7 @@ def solve_positive(input_set: InputSet, trace: list[OrderTrace] | None = None) -
     )
     if trace is not None:
         trace.append(OrderTrace(0, input_set.target, tuple(rank_log or ()), found is not None))
-    values = unscale(found, s) if found is not None else None
-    if values is not None:
-        assert sum(values) == input_set.target
+    values = _unscale_checked(found, s, input_set.target) if found is not None else None
     stats = SearchStats(
         orders_searched=1,
         probes_per_order=[probes],

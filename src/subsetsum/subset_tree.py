@@ -1,14 +1,15 @@
 """Lazy heap-ordered enumeration of all subsets of one fixed length.
 
-Nodes hold length-n index subsets. A child advances one chosen position of
+Nodes are length-n IndexSubsets. A child advances one chosen position of
 the parent's subset to the next index; when that index is already occupied
 the occupant is bumped to its own next index, cascading rightward until the
 run of conflicts ends, and the child is dropped if any bump would run past
 the end of the set. Children are only generated at positions >= the
-position the parent itself advanced, which is what makes every length-n
-subset appear exactly once; the exhaustive completeness tests are the
-binding contract for that rule. Sums never decrease along an edge, so
-best-first expansion yields length-n subsets in nondecreasing sum order.
+position the parent itself advanced (its min_modified_pos), which is what
+makes every length-n subset appear exactly once; the exhaustive
+completeness checks in checks.py are the binding contract for that rule.
+Sums never decrease along an edge, so best-first expansion yields length-n
+subsets in nondecreasing sum order.
 """
 
 from __future__ import annotations
@@ -16,23 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .model import CapacityError, IndexSubset, OrderError, RankError, ScaledSet
+from .model import IndexSubset, OrderError, ScaledSet
 from .powerset import Frontier
-
-EXPANSION_CAP = 10**6
-
-
-class SubsetTreeNode:
-    """A fixed-length subset plus the lowest position changed from its parent."""
-
-    __slots__ = ("subset", "min_modified_pos")
-
-    def __init__(self, subset: IndexSubset, min_modified_pos: int) -> None:
-        self.subset = subset
-        self.min_modified_pos = min_modified_pos
-
-    def __repr__(self) -> str:
-        return f"SubsetTreeNode({self.subset!r}, min_modified_pos={self.min_modified_pos})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,14 +35,14 @@ class SubsetTree:
         object.__setattr__(self, "total", math.comb(self.scaled.size, self.n))
 
 
-def subtree_root(s: ScaledSet, n: int) -> SubsetTreeNode:
+def subtree_root(s: ScaledSet, n: int) -> IndexSubset:
     """Root node: the n smallest elements, free to advance any position."""
     if not 1 <= n <= s.size:
         raise OrderError(f"subset length {n} outside [1, {s.size}]")
-    return SubsetTreeNode(IndexSubset(tuple(range(n)), sum(s.scaled_values[:n])), 0)
+    return IndexSubset(tuple(range(n)), sum(s.scaled_values[:n]))
 
 
-def subtree_children(node: SubsetTreeNode, tree: SubsetTree) -> list[SubsetTreeNode]:
+def subtree_children(node: IndexSubset, tree: SubsetTree) -> list[IndexSubset]:
     """Generate a node's children, at most one per modifiable position.
 
     Positions run from the last slot down to the position the parent itself
@@ -66,9 +52,9 @@ def subtree_children(node: SubsetTreeNode, tree: SubsetTree) -> list[SubsetTreeN
     scaled = tree.scaled.scaled_values
     size = len(scaled)
     n = tree.n
-    base = node.subset.indices
-    base_sum = node.subset.cached_sum
-    children: list[SubsetTreeNode] = []
+    base = node.indices
+    base_sum = node.cached_sum
+    children: list[IndexSubset] = []
     for pos in range(n - 1, node.min_modified_pos - 1, -1):
         indices = list(base)
         total = base_sum
@@ -81,7 +67,7 @@ def subtree_children(node: SubsetTreeNode, tree: SubsetTree) -> list[SubsetTreeN
                 slot += 1
                 nxt += 1
             else:
-                children.append(SubsetTreeNode(IndexSubset(tuple(indices), total), pos))
+                children.append(IndexSubset(tuple(indices), total, pos))
                 break
     return children
 
@@ -89,25 +75,3 @@ def subtree_children(node: SubsetTreeNode, tree: SubsetTree) -> list[SubsetTreeN
 def subtree_frontier(tree: SubsetTree) -> Frontier:
     """Fresh expansion state over the fixed-length subset tree."""
     return Frontier(subtree_root(tree.scaled, tree.n), lambda node: subtree_children(node, tree))
-
-
-def subtree_kth_smallest(tree: SubsetTree, k: int) -> IndexSubset:
-    """The k-th smallest length-n subset by scaled sum, 1 <= k <= C(N, n)."""
-    if not 1 <= k <= tree.total:
-        raise RankError(f"rank {k} outside [1, {tree.total}]")
-    return subtree_frontier(tree).select(k)
-
-
-def subtree_expand_all(tree: SubsetTree, cap: int = EXPANSION_CAP) -> list[IndexSubset]:
-    """Materialize every subset in the tree; support for tests and selftest only."""
-    if tree.total > cap:
-        raise CapacityError(f"tree holds {tree.total} subsets, expansion cap is {cap}")
-    out: list[IndexSubset] = []
-    stack = [subtree_root(tree.scaled, tree.n)]
-    while stack:
-        node = stack.pop()
-        out.append(node.subset)
-        if len(out) > cap:
-            raise CapacityError(f"expansion exceeded cap {cap}")
-        stack.extend(subtree_children(node, tree))
-    return out

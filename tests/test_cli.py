@@ -205,6 +205,19 @@ class TestSelftestCommand:
         assert code == 1
         assert "FAIL solver-vs-dp" in out
 
+    @pytest.mark.parametrize(
+        "generator, suite",
+        [("subtree_children", "subset-tree completeness"), ("binheap_children", "powerset completeness")],
+    )
+    def test_dropped_child_fails(self, capsys, monkeypatch, generator, suite):
+        import subsetsum.checks as checks_module
+
+        original = getattr(checks_module, generator)
+        monkeypatch.setattr(checks_module, generator, lambda node, *args, **kw: original(node, *args, **kw)[1:])
+        code, out, _ = run(capsys, "selftest", "--max-n", "5", "--instances", "10")
+        assert code == 1
+        assert f"FAIL {suite}" in out
+
     def test_invalid_flags_exit_two(self, capsys):
         code, _, _ = run(capsys, "selftest", "--max-n", "0")
         assert code == 2

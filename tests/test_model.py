@@ -47,6 +47,11 @@ class TestNormalize:
         with pytest.raises(InputError):
             InputSet((1,), 2**63)
 
+    @pytest.mark.parametrize("values, target", [((1, 2), True), ((True, 2), 3), ((False,), 0)])
+    def test_bool_rejected(self, values, target):
+        with pytest.raises(InputError):
+            InputSet(values, target)
+
     def test_overflow_guard_names_the_bound(self):
         with pytest.raises(CapacityError, match="N\\*max_scaled"):
             normalize(InputSet((2**62, 2**62), 0))

@@ -11,99 +11,85 @@ from subsetsum import (
     ScaledSet,
     binheap_children,
     binheap_frontier,
-    binheap_kth_smallest,
     binheap_root,
-    binheap_search,
     brute_force_solve,
     enumerate_sorted_sums,
     lower_bound_rank_search,
-    normalize,
+    solve_positive,
 )
+from subsetsum.checks import check_tree
 
 positive_sets = st.lists(st.integers(1, 50), min_size=1, max_size=9).map(
     lambda vs: ScaledSet(tuple(sorted(vs)), 0)
 )
 
 
-def expand_fully(s):
-    """All (parent, child) edges of the implicit binary tree, walked eagerly."""
-    edges = []
-    stack = [binheap_root(s)]
-    while stack:
-        node = stack.pop()
-        for child in binheap_children(node, s):
-            edges.append((node, child))
-            stack.append(child)
-    return edges
-
-
 class TestRoot:
     def test_root_is_smallest_singleton(self):
         s = ScaledSet((2, 5, 7), 0)
         root = binheap_root(s)
-        assert root.subset.indices == (0,)
-        assert root.subset.cached_sum == 2
+        assert root.indices == (0,)
+        assert root.cached_sum == 2
 
     def test_singleton_set(self):
         root = binheap_root(ScaledSet((1,), 0))
-        assert root.subset.cached_sum == 1
+        assert root.cached_sum == 1
 
     def test_scaled_mixed_sign_set(self):
         root = binheap_root(ScaledSet((1, 5, 6, 13, 16), 0))
-        assert root.subset.cached_sum == 1
+        assert root.cached_sum == 1
 
 
 class TestChildren:
     def test_root_children(self):
         s = ScaledSet((2, 5, 7), 0)
         left, right = binheap_children(binheap_root(s), s)
-        assert left.subset.indices == (1,) and left.subset.cached_sum == 5
-        assert right.subset.indices == (0, 1) and right.subset.cached_sum == 7
+        assert left.indices == (1,) and left.cached_sum == 5
+        assert right.indices == (0, 1) and right.cached_sum == 7
 
     def test_full_set_has_no_children(self):
         s = ScaledSet((2, 5, 7), 0)
         node = binheap_children(binheap_children(binheap_root(s), s)[1], s)[1]
-        assert node.subset.indices == (0, 1, 2)
+        assert node.indices == (0, 1, 2)
         assert binheap_children(node, s) == []
 
     def test_middle_singleton_children(self):
         s = ScaledSet((2, 5, 7), 0)
         five = binheap_children(binheap_root(s), s)[0]
         left, right = binheap_children(five, s)
-        assert left.subset.indices == (2,) and left.subset.cached_sum == 7
-        assert right.subset.indices == (1, 2) and right.subset.cached_sum == 12
+        assert left.indices == (2,) and left.cached_sum == 7
+        assert right.indices == (1, 2) and right.cached_sum == 12
 
 
 class TestKthSmallest:
     @pytest.mark.parametrize("k,expected_sum", [(1, 2), (4, 7), (7, 14)])
     def test_ranked_sums(self, k, expected_sum):
         s = ScaledSet((2, 5, 7), 0)
-        assert binheap_kth_smallest(s, k).cached_sum == expected_sum
+        assert binheap_frontier(s).select(k).cached_sum == expected_sum
 
     @pytest.mark.parametrize("k", [0, -1, 8])
     def test_rank_out_of_range(self, k):
         with pytest.raises(RankError):
-            binheap_kth_smallest(ScaledSet((2, 5, 7), 0), k)
+            binheap_frontier(ScaledSet((2, 5, 7), 0)).select(k)
 
     def test_ties_are_deterministic(self):
         s = ScaledSet((2, 2, 3), 0)
-        first = [binheap_kth_smallest(s, k) for k in range(1, 8)]
-        second = [binheap_kth_smallest(s, k) for k in range(1, 8)]
+        first = [binheap_frontier(s).select(k) for k in range(1, 8)]
+        second = [binheap_frontier(s).select(k) for k in range(1, 8)]
         assert first == second
 
 
 class TestSearch:
     def test_finds_unique_pair(self):
-        s = ScaledSet((2, 5, 7), 0)
-        found = binheap_search(s, 9)
+        found, _ = lower_bound_rank_search(binheap_frontier(ScaledSet((2, 5, 7), 0)), 7, 9)
         assert found is not None and found.indices == (0, 2)
 
     def test_absent_sum(self):
-        assert binheap_search(ScaledSet((2, 5, 7), 0), 8) is None
+        assert not solve_positive(InputSet((2, 5, 7), 8)).found
 
     def test_minimum_is_root(self):
-        found = binheap_search(ScaledSet((2, 5, 7), 0), 2)
-        assert found is not None and found.indices == (0,)
+        outcome = solve_positive(InputSet((2, 5, 7), 2))
+        assert outcome.subset == (2,)
 
     def test_probe_count_bounded(self):
         s = ScaledSet(tuple(sorted(random.Random(3).randint(1, 30) for _ in range(10))), 0)
@@ -116,30 +102,26 @@ class TestSearch:
     def test_decision_matches_brute_force_exhaustively(self):
         # every target in and just beyond the reachable window, N = 12
         values = tuple(sorted(random.Random(9).randint(1, 20) for _ in range(12)))
-        s = ScaledSet(values, 0)
         for target in range(0, sum(values) + 2):
-            found = binheap_search(s, target)
+            outcome = solve_positive(InputSet(values, target))
             expected = brute_force_solve(InputSet(values, target))
-            assert (found is not None) == (expected is not None), target
-            if found is not None:
-                assert found.cached_sum == target
+            assert outcome.found == (expected is not None), target
+            if outcome.found:
+                assert sum(outcome.subset) == target
 
 
 class TestProperties:
     @pytest.mark.parametrize("size", range(1, 13))
     def test_completeness(self, size):
         values = tuple(sorted(random.Random(size).randint(1, 40) for _ in range(size)))
-        s = ScaledSet(values, 0)
-        seen = {binheap_root(s).subset.indices}
-        for _, child in expand_fully(s):
-            seen.add(child.subset.indices)
-        assert len(seen) == 2**size - 1
+        walk = check_tree(ScaledSet(values, 0))
+        assert walk.total == 2**size - 1
+        assert walk.complete, walk
 
     @given(positive_sets)
     @settings(max_examples=60)
     def test_heap_property(self, s):
-        for parent, child in expand_fully(s):
-            assert child.subset.cached_sum >= parent.subset.cached_sum
+        assert check_tree(s).inversion is None
 
     @given(positive_sets)
     @settings(max_examples=40)
@@ -172,7 +154,5 @@ class TestProperties:
 @given(st.lists(st.integers(1, 30), min_size=1, max_size=10), st.integers(0, 90))
 @settings(max_examples=150)
 def test_search_decision_equivalence_random(values, target):
-    s = normalize(InputSet(tuple(values), target))
-    found = binheap_search(s, target)
-    expected = brute_force_solve(InputSet(tuple(values), target))
-    assert (found is not None) == (expected is not None)
+    instance = InputSet(tuple(values), target)
+    assert solve_positive(instance).found == (brute_force_solve(instance) is not None)

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -11,8 +13,6 @@ from subsetsum import (
     InputSet,
     brute_force_solve,
     dp_decision,
-    normalize,
-    search_order,
     solve,
     solve_positive,
 )
@@ -31,25 +31,27 @@ def assert_probe_bounds(stats, size):
 
 class TestSearchOrder:
     def test_hit_at_order_three(self):
-        s = normalize(InputSet((-7, -3, -2, 5, 8), 0))
-        found, probes = search_order(s, 3, 24)
-        assert found is not None and found.indices == (1, 2, 3)
-        assert probes >= 1
+        traces = []
+        outcome = solve(InputSet((-7, -3, -2, 5, 8), 0), traces)
+        assert traces[2].order == 3 and traces[2].scaled_target == 24 and traces[2].found
+        assert outcome.subset == (-3, -2, 5)  # sorted indices (1, 2, 3)
+        assert outcome.stats.probes_per_order[2] >= 1
 
     def test_miss_at_order_one(self):
-        s = normalize(InputSet((-7, -3, -2, 5, 8), 0))
-        found, _ = search_order(s, 1, 8)
-        assert found is None
+        traces = []
+        solve(InputSet((-7, -3, -2, 5, 8), 0), traces)
+        assert (traces[0].order, traces[0].scaled_target, traces[0].found) == (1, 8, False)
 
     def test_miss_at_order_two(self):
-        s = normalize(InputSet((-7, -3, -2, 5, 8), 0))
-        found, _ = search_order(s, 2, 16)
-        assert found is None
+        traces = []
+        solve(InputSet((-7, -3, -2, 5, 8), 0), traces)
+        assert (traces[1].order, traces[1].scaled_target, traces[1].found) == (2, 16, False)
 
     def test_out_of_window_targets_cost_no_probes(self):
-        s = normalize(InputSet((2, 5, 7), 0))
-        assert search_order(s, 2, 6) == (None, 0)   # below min pair sum 7
-        assert search_order(s, 2, 13) == (None, 0)  # above max pair sum 12
+        below = solve(InputSet((2, 5, 7), 6)).stats   # below min pair sum 7
+        above = solve(InputSet((2, 5, 7), 13)).stats  # above max pair sum 12
+        assert below.probes_per_order[1] == 0
+        assert above.probes_per_order[1] == 0
 
 
 class TestSolve:
@@ -95,6 +97,21 @@ class TestSolve:
     def test_scaled_target_overflow_raises(self):
         with pytest.raises(CapacityError):
             solve(InputSet((-(2**62),), 2**62))
+
+    def test_wrong_solution_sum_raises_under_optimize(self):
+        # A solver fault that unscales to the wrong values must not pass as a
+        # solution, also when python -O strips assert statements.
+        code = (
+            "import subsetsum.solver as solver\n"
+            "from subsetsum import InputSet\n"
+            "solver.unscale = lambda subset, s: ()\n"
+            "print(solver.solve(InputSet((2, 5, 7), 9)).subset)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode != 0, proc.stdout
+        assert "RuntimeError" in proc.stderr
 
     def test_stats_shape(self):
         outcome = solve(InputSet((1, 2, 3), 7))

@@ -6,48 +6,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subsetsum import (
-    CapacityError,
     OrderError,
     RankError,
     ScaledSet,
     SubsetTree,
     enumerate_sorted_sums,
     subtree_children,
-    subtree_expand_all,
     subtree_frontier,
-    subtree_kth_smallest,
     subtree_root,
 )
+from subsetsum.checks import check_tree, edges
 
 positive_sets = st.lists(st.integers(1, 50), min_size=1, max_size=8).map(
     lambda vs: ScaledSet(tuple(sorted(vs)), 0)
 )
 
 
-def walk_edges(tree):
-    stack = [subtree_root(tree.scaled, tree.n)]
-    while stack:
-        node = stack.pop()
-        for child in subtree_children(node, tree):
-            yield node, child
-            stack.append(child)
-
-
 class TestRoot:
     def test_four_smallest_of_six(self):
         root = subtree_root(ScaledSet((1, 2, 3, 4, 5, 6), 0), 4)
-        assert root.subset.indices == (0, 1, 2, 3)
-        assert root.subset.cached_sum == 10
+        assert root.indices == (0, 1, 2, 3)
+        assert root.cached_sum == 10
         assert root.min_modified_pos == 0
 
     def test_three_smallest_scaled(self):
         root = subtree_root(ScaledSet((1, 5, 6, 13, 16), 0), 3)
-        assert root.subset.cached_sum == 12
+        assert root.cached_sum == 12
 
     def test_order_equal_to_size(self):
         s = ScaledSet((3, 9, 11), 0)
         root = subtree_root(s, 3)
-        assert root.subset.indices == (0, 1, 2)
+        assert root.indices == (0, 1, 2)
 
     @pytest.mark.parametrize("n", [0, -2, 7])
     def test_order_out_of_range(self, n):
@@ -62,7 +51,7 @@ class TestChildren:
         s = ScaledSet((1, 2, 3, 4, 5, 6), 0)
         tree = SubsetTree(s, 4)
         children = subtree_children(subtree_root(s, 4), tree)
-        by_pos = {child.min_modified_pos: child.subset.indices for child in children}
+        by_pos = {child.min_modified_pos: child.indices for child in children}
         assert by_pos == {
             3: (0, 1, 2, 4),  # values {1,2,3,5}
             2: (0, 1, 3, 4),  # values {1,2,4,5}, conflict bumped rightward
@@ -81,59 +70,53 @@ class TestChildren:
         child = next(
             c for c in subtree_children(subtree_root(s, 4), tree) if c.min_modified_pos == 3
         )
-        assert child.subset.indices == (0, 1, 2, 4)
+        assert child.indices == (0, 1, 2, 4)
         grandchildren = subtree_children(child, tree)
-        assert [g.subset.indices for g in grandchildren] == [(0, 1, 2, 5)]
+        assert [g.indices for g in grandchildren] == [(0, 1, 2, 5)]
 
     def test_child_positions_never_below_parents(self):
         s = ScaledSet(tuple(sorted(random.Random(2).randint(1, 30) for _ in range(8))), 0)
         tree = SubsetTree(s, 4)
-        for parent, child in walk_edges(tree):
+        for parent, child in edges(tree):
             assert child.min_modified_pos >= parent.min_modified_pos
 
 
 class TestKthSmallest:
     def test_minimum_three_subset(self):
         tree = SubsetTree(ScaledSet((1, 5, 6, 13, 16), 0), 3)
-        assert subtree_kth_smallest(tree, 1).cached_sum == 12
+        assert subtree_frontier(tree).select(1).cached_sum == 12
 
     def test_rank_six_is_unique_sum_24(self):
         tree = SubsetTree(ScaledSet((1, 5, 6, 13, 16), 0), 3)
-        subset = subtree_kth_smallest(tree, 6)
+        subset = subtree_frontier(tree).select(6)
         assert subset.cached_sum == 24
         assert subset.indices == (1, 2, 3)
 
     def test_four_subset_root_rank_one(self):
         tree = SubsetTree(ScaledSet((1, 2, 3, 4, 5, 6), 0), 4)
-        assert subtree_kth_smallest(tree, 1).cached_sum == 10
+        assert subtree_frontier(tree).select(1).cached_sum == 10
 
     @pytest.mark.parametrize("k", [0, -1, 11])
     def test_rank_out_of_range(self, k):
         tree = SubsetTree(ScaledSet((1, 5, 6, 13, 16), 0), 3)
         with pytest.raises(RankError):
-            subtree_kth_smallest(tree, k)
+            subtree_frontier(tree).select(k)
 
 
 class TestExpandAll:
     def test_fifteen_four_subsets_of_six(self):
-        tree = SubsetTree(ScaledSet((1, 2, 3, 4, 5, 6), 0), 4)
-        subsets = subtree_expand_all(tree)
-        assert len(subsets) == 15
-        assert len({sub.indices for sub in subsets}) == 15
+        walk = check_tree(SubsetTree(ScaledSet((1, 2, 3, 4, 5, 6), 0), 4))
+        assert walk.nodes == walk.distinct == walk.total == 15
 
     def test_single_full_subset(self):
-        tree = SubsetTree(ScaledSet((4, 8, 9), 0), 3)
-        assert len(subtree_expand_all(tree)) == 1
+        walk = check_tree(SubsetTree(ScaledSet((4, 8, 9), 0), 3))
+        assert walk.nodes == 1 and walk.complete
 
     def test_singletons(self):
-        tree = SubsetTree(ScaledSet((4, 8, 9), 0), 1)
-        subsets = subtree_expand_all(tree)
-        assert sorted(sub.indices for sub in subsets) == [(0,), (1,), (2,)]
-
-    def test_cap_exceeded(self):
-        tree = SubsetTree(ScaledSet(tuple(range(1, 31)), 0), 15)
-        with pytest.raises(CapacityError):
-            subtree_expand_all(tree)
+        s = ScaledSet((4, 8, 9), 0)
+        tree = SubsetTree(s, 1)
+        reached = [subtree_root(s, 1).indices] + [child.indices for _, child in edges(tree)]
+        assert sorted(reached) == [(0,), (1,), (2,)]
 
 
 class TestContracts:
@@ -142,19 +125,18 @@ class TestContracts:
         values = tuple(sorted(random.Random(size).randint(1, 30) for _ in range(size)))
         s = ScaledSet(values, 0)
         for n in range(1, size + 1):
-            tree = SubsetTree(s, n)
-            subsets = subtree_expand_all(tree)
-            assert len(subsets) == math.comb(size, n)
-            assert len({sub.indices for sub in subsets}) == math.comb(size, n)
+            walk = check_tree(SubsetTree(s, n))
+            assert walk.total == math.comb(size, n)
+            assert walk.complete, walk
 
     @given(positive_sets, st.data())
     @settings(max_examples=60)
     def test_heap_property_and_child_count(self, s, data):
         n = data.draw(st.integers(1, s.size))
         tree = SubsetTree(s, n)
-        for parent, child in walk_edges(tree):
-            assert child.subset.cached_sum >= parent.subset.cached_sum
-            assert len(child.subset.indices) == n
+        for parent, child in edges(tree):
+            assert child.cached_sum >= parent.cached_sum
+            assert len(child.indices) == n
         root = subtree_root(s, n)
         assert len(subtree_children(root, tree)) <= n
 
@@ -171,5 +153,4 @@ class TestContracts:
     def test_duplicate_values_still_complete(self):
         s = ScaledSet((2, 2, 2, 5, 5), 0)
         for n in range(1, 6):
-            subsets = subtree_expand_all(SubsetTree(s, n))
-            assert len({sub.indices for sub in subsets}) == math.comb(5, n)
+            assert check_tree(SubsetTree(s, n)).complete
