@@ -294,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--positive-fast-path",
         action="store_true",
-        help="use the single whole-powerset search (strictly positive values only)",
+        help="use the paper's baseline single search over all subsets (strictly positive "
+        "values only); it usually expands more nodes than the default per-length search",
     )
     p_solve.add_argument("--json", action="store_true", help="emit one JSON object per instance")
     p_solve.add_argument(

@@ -29,15 +29,17 @@ def binheap_children(node: IndexSubset, s: ScaledSet) -> list[IndexSubset]:
     sorted set; the right child appends the successor. Both sums are >= the
     node's sum. A node whose maximum element is the last one has no children.
     """
-    indices = node.indices
-    nxt = indices[-1] + 1
-    if nxt >= s.size:
+    indices, total, _ = node
+    scaled = s.scaled_values
+    top = indices[-1]
+    nxt = top + 1
+    if nxt >= len(scaled):
         return []
-    total = node.cached_sum
-    step = s.scaled_values[nxt]
+    step = scaled[nxt]
+    # tuple.__new__ skips the NamedTuple's Python-level __new__ on this hot path.
     return [
-        IndexSubset(indices[:-1] + (nxt,), total - s.scaled_values[indices[-1]] + step),
-        IndexSubset(indices + (nxt,), total + step),
+        tuple.__new__(IndexSubset, (indices[:-1] + (nxt,), total - scaled[top] + step, 0)),
+        tuple.__new__(IndexSubset, (indices + (nxt,), total + step, 0)),
     ]
 
 
@@ -58,28 +60,48 @@ class Frontier:
         self._heap: list[tuple[int, int, IndexSubset]] = [(root.cached_sum, 0, root)]
         self._tie_seq = 1
         self._popped: list[IndexSubset] = []
-        self.nodes_expanded = 0
 
     @property
-    def emitted(self) -> int:
-        """Number of subsets popped so far."""
+    def nodes_expanded(self) -> int:
+        """Number of nodes popped and expanded so far."""
         return len(self._popped)
 
     def select(self, k: int) -> IndexSubset:
-        """Return the rank-k subset (1-based) in nondecreasing-sum order."""
+        """Return the rank-k subset (1-based) in nondecreasing-sum order.
+
+        The top node is expanded before it leaves the heap, so an expand
+        that raises leaves the frontier as it was and a later call resumes.
+        Its first child then replaces it at the top in one sift. The
+        (sum, seq) keys are unique, so the pop order depends only on the
+        heap's contents, not on how they are laid out.
+        """
         if k < 1:
             raise RankError(f"rank must be at least 1, got {k}")
         popped = self._popped
+        if k <= len(popped):
+            return popped[k - 1]
         heap = self._heap
-        while len(popped) < k:
-            if not heap:
-                raise RankError(f"rank {k} exceeds the {len(popped)} subsets in this tree")
-            _, _, node = heapq.heappop(heap)
-            popped.append(node)
-            self.nodes_expanded += 1
-            for child in self._expand(node):
-                heapq.heappush(heap, (child.cached_sum, self._tie_seq, child))
-                self._tie_seq += 1
+        expand = self._expand
+        heappush, heapreplace, heappop = heapq.heappush, heapq.heapreplace, heapq.heappop
+        seq = self._tie_seq
+        try:
+            for _ in range(k - len(popped)):
+                if not heap:
+                    raise RankError(f"rank {k} exceeds the {len(popped)} subsets in this tree")
+                node = heap[0][2]
+                children = expand(node)
+                popped.append(node)
+                if children:
+                    first = children[0]
+                    heapreplace(heap, (first.cached_sum, seq, first))
+                    seq += 1
+                    for child in children[1:]:
+                        heappush(heap, (child.cached_sum, seq, child))
+                        seq += 1
+                else:
+                    heappop(heap)
+        finally:
+            self._tie_seq = seq
         return popped[k - 1]
 
 

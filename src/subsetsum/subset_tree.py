@@ -48,27 +48,29 @@ def subtree_children(node: IndexSubset, tree: SubsetTree) -> list[IndexSubset]:
     Positions run from the last slot down to the position the parent itself
     advanced (the root may advance any position). Each child's sum is >= the
     parent's sum and each child records the position it advanced.
+
+    Advancing a position bumps the whole run of consecutive indices that
+    starts there by one index, so the child differs from its parent only in
+    that run: the sum gains the value just past the run and loses the run's
+    first value. A run that already ends on the last index has no child.
     """
+    base, base_sum, min_pos = node
     scaled = tree.scaled.scaled_values
     size = len(scaled)
-    n = tree.n
-    base = node.indices
-    base_sum = node.cached_sum
     children: list[IndexSubset] = []
-    for pos in range(n - 1, node.min_modified_pos - 1, -1):
-        indices = list(base)
-        total = base_sum
-        slot = pos
-        nxt = indices[slot] + 1
-        while nxt < size:
-            total += scaled[nxt] - scaled[indices[slot]]
-            indices[slot] = nxt
-            if slot + 1 < n and indices[slot + 1] == nxt:
-                slot += 1
-                nxt += 1
-            else:
-                children.append(IndexSubset(tuple(indices), total, pos))
-                break
+    after = -1  # base[pos + 1]; -1 past the last slot, where no run continues
+    for pos in range(len(base) - 1, min_pos - 1, -1):
+        first = base[pos]
+        if after != first + 1:
+            end = pos  # the run starting at pos ends at slot end
+            past = first + 1  # the index just past the run
+        after = first
+        if past < size:
+            run = (past,) if end == pos else tuple(range(first + 1, past + 1))
+            # tuple.__new__ skips the NamedTuple's Python-level __new__ on this hot path.
+            children.append(tuple.__new__(
+                IndexSubset, (base[:pos] + run + base[end + 1:], base_sum + scaled[past] - scaled[first], pos)
+            ))
     return children
 
 

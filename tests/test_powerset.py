@@ -138,7 +138,7 @@ class TestProperties:
         frontier = binheap_frontier(s)
         frontier.select(k)
         assert frontier.nodes_expanded <= 2 * k + 1
-        assert frontier.emitted == k
+        assert frontier.nodes_expanded == k
 
     def test_probe_reuse_resumes_expansion(self):
         s = ScaledSet((2, 5, 7), 0)

@@ -1,0 +1,166 @@
+"""The hot-path generators and frontier against plain reference versions.
+
+The references are the straightforward forms: a child generator that copies
+the parent's indices and cascades each bump slot by slot, and a frontier
+that pops the top before pushing its children. The package's versions must
+return the same children in the same order, and pop subsets in the same
+order, tie order included.
+"""
+
+import heapq
+import random
+
+import pytest
+
+from subsetsum import (
+    Frontier,
+    IndexSubset,
+    ScaledSet,
+    SubsetTree,
+    binheap_children,
+    binheap_root,
+    subtree_children,
+    subtree_root,
+)
+
+
+def reference_subtree_children(node, tree):
+    scaled = tree.scaled.scaled_values
+    size = len(scaled)
+    n = tree.n
+    base = node.indices
+    base_sum = node.cached_sum
+    children = []
+    for pos in range(n - 1, node.min_modified_pos - 1, -1):
+        indices = list(base)
+        total = base_sum
+        slot = pos
+        nxt = indices[slot] + 1
+        while nxt < size:
+            total += scaled[nxt] - scaled[indices[slot]]
+            indices[slot] = nxt
+            if slot + 1 < n and indices[slot + 1] == nxt:
+                slot += 1
+                nxt += 1
+            else:
+                children.append(IndexSubset(tuple(indices), total, pos))
+                break
+    return children
+
+
+def reference_binheap_children(node, s):
+    indices = node.indices
+    nxt = indices[-1] + 1
+    if nxt >= s.size:
+        return []
+    total = node.cached_sum
+    step = s.scaled_values[nxt]
+    return [
+        IndexSubset(indices[:-1] + (nxt,), total - s.scaled_values[indices[-1]] + step),
+        IndexSubset(indices + (nxt,), total + step),
+    ]
+
+
+class ReferenceFrontier:
+    """Pop the top, then push each child: the plain best-first loop."""
+
+    def __init__(self, root, expand):
+        self.expand = expand
+        self.heap = [(root.cached_sum, 0, root)]
+        self.seq = 1
+        self.popped = []
+
+    def select(self, k):
+        while len(self.popped) < k:
+            _, _, node = heapq.heappop(self.heap)
+            self.popped.append(node)
+            for child in self.expand(node):
+                heapq.heappush(self.heap, (child.cached_sum, self.seq, child))
+                self.seq += 1
+        return self.popped[k - 1]
+
+
+def _sets():
+    """Sets of sizes 1-9: all-equal, distinct, and random with many duplicates."""
+    for size in range(1, 10):
+        rng = random.Random(size)
+        yield (3,) * size
+        yield tuple(range(1, 2 * size, 2))
+        yield tuple(sorted(rng.randint(1, 4) for _ in range(size)))
+        yield tuple(sorted(rng.randint(1, 60) for _ in range(size)))
+
+
+def _all_nodes(root, children_of):
+    """Every node of a tree, reached through the reference generator."""
+    stack, nodes = [root], []
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(children_of(node))
+    return nodes
+
+
+def _assert_same_children(got, expected):
+    assert got == expected
+    assert all(type(child) is IndexSubset for child in got)
+
+
+@pytest.mark.parametrize("values", list(_sets()), ids=str)
+def test_subtree_children_match_reference_on_every_node(values):
+    s = ScaledSet(values, 0)
+    for n in range(1, len(values) + 1):
+        tree = SubsetTree(s, n)
+        nodes = _all_nodes(subtree_root(s, n), lambda node: reference_subtree_children(node, tree))
+        assert len(nodes) == tree.total
+        for node in nodes:
+            _assert_same_children(subtree_children(node, tree), reference_subtree_children(node, tree))
+
+
+@pytest.mark.parametrize("values", list(_sets()), ids=str)
+def test_binheap_children_match_reference_on_every_node(values):
+    s = ScaledSet(values, 0)
+    nodes = _all_nodes(binheap_root(s), lambda node: reference_binheap_children(node, s))
+    assert len(nodes) == 2 ** len(values) - 1
+    for node in nodes:
+        _assert_same_children(binheap_children(node, s), reference_binheap_children(node, s))
+
+
+def _trees(values):
+    """(root, expand, subsets) for each fixed-length tree and the power-set tree."""
+    s = ScaledSet(values, 0)
+    for n in range(1, len(values) + 1):
+        tree = SubsetTree(s, n)
+        yield subtree_root(s, n), lambda node, tree=tree: subtree_children(node, tree), tree.total
+    yield binheap_root(s), lambda node: binheap_children(node, s), 2 ** len(values) - 1
+
+
+@pytest.mark.parametrize("values", [(3,) * 8, (1, 1, 2, 2, 2, 3, 3, 4)], ids=str)
+def test_tie_order_matches_pop_then_push(values):
+    for root, expand, total in _trees(values):
+        frontier = Frontier(root, expand)
+        reference = ReferenceFrontier(root, expand)
+        got = [frontier.select(k) for k in range(1, total + 1)]
+        assert got == [reference.select(k) for k in range(1, total + 1)]
+        assert frontier.nodes_expanded == total
+
+
+@pytest.mark.parametrize("tree_index", [3, -1], ids=["subset-tree", "powerset"])
+def test_raising_expand_leaves_frontier_unchanged(tree_index):
+    root, expand, total = list(_trees((1, 2, 2, 3, 5, 8, 9)))[tree_index]
+    calls = 0
+
+    def flaky(node):
+        nonlocal calls
+        calls += 1
+        if calls == 10:
+            raise RuntimeError("expand failed")
+        return expand(node)
+
+    frontier = Frontier(root, flaky)
+    with pytest.raises(RuntimeError):
+        frontier.select(total)
+    assert frontier.nodes_expanded == 9
+    frontier.select(total)
+    fresh = Frontier(root, expand)
+    assert [frontier.select(k) for k in range(1, total + 1)] == [fresh.select(k) for k in range(1, total + 1)]
+    assert frontier.nodes_expanded == fresh.nodes_expanded == total
