@@ -66,6 +66,23 @@ def parse_instance_line(line: str) -> InputSet:
     return InputSet(tuple(values), target)
 
 
+def _read_instance_file(path: str) -> list[InputSet]:
+    """Parse every nonblank line of an instance file; errors name the file and line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc.reason}") from None
+    instances = []
+    for lineno, line in enumerate(lines, 1):
+        if line.strip():
+            try:
+                instances.append(parse_instance_line(line))
+            except InputError as exc:
+                raise InputError(f"{path}, line {lineno}: {exc}") from None
+    return instances
+
+
 def _format_subset(values: Iterable[int]) -> str:
     return "{" + ", ".join(str(v) for v in values) + "}"
 
@@ -84,8 +101,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.file is not None:
         if args.set is not None or args.target is not None:
             raise InputError("--file cannot be combined with --set/--target")
-        with open(args.file, encoding="utf-8") as fh:
-            instances = [parse_instance_line(line) for line in fh if line.strip()]
+        instances = _read_instance_file(args.file)
         if not instances:
             raise InputError(f"no instances in {args.file}")
     else:

@@ -43,6 +43,14 @@ def binheap_children(node: IndexSubset, s: ScaledSet) -> list[IndexSubset]:
     ]
 
 
+# A heap key is cached_sum << _SEQ_SHIFT | seq, where seq is the node's index in
+# Frontier._nodes. That list holds a live 8-byte pointer for every seq handed out,
+# each to a node of at least 64 bytes, so on a 64-bit machine seq stays below
+# 2**58 (2**61 from the pointers alone) and never reaches the sum's bits.
+_SEQ_SHIFT = 64
+_SEQ_MASK = (1 << _SEQ_SHIFT) - 1
+
+
 class Frontier:
     """Best-first expansion state over a heap-ordered subset tree.
 
@@ -51,14 +59,22 @@ class Frontier:
     are memoized, letting one binary search probe ranks in any order and
     resume expansion instead of restarting it.
 
+    Every node pushed is appended to a list, so its position there is its
+    sequence number: the root is 0 and each child gets the next one. The
+    heap holds one integer key per pending node, cached_sum << 64 | seq.
+    Keys order first by sum, for any integer sum, negative or wider than
+    64 bits, and then by seq, so equal sums pop in insertion order. No
+    sequence number can reach 2**64, because each one indexes a list that
+    is held in memory at the same time.
+
     A Frontier is single-owner mutable state: concurrent searches over the
     same scaled set must each build their own.
     """
 
     def __init__(self, root: IndexSubset, expand: Callable[[IndexSubset], list[IndexSubset]]) -> None:
         self._expand = expand
-        self._heap: list[tuple[int, int, IndexSubset]] = [(root.cached_sum, 0, root)]
-        self._tie_seq = 1
+        self._nodes: list[IndexSubset] = [root]
+        self._heap: list[int] = [root.cached_sum << _SEQ_SHIFT]
         self._popped: list[IndexSubset] = []
 
     @property
@@ -71,37 +87,33 @@ class Frontier:
 
         The top node is expanded before it leaves the heap, so an expand
         that raises leaves the frontier as it was and a later call resumes.
-        Its first child then replaces it at the top in one sift. The
-        (sum, seq) keys are unique, so the pop order depends only on the
-        heap's contents, not on how they are laid out.
+        Its first child then replaces it at the top in one sift. The keys
+        are unique, so the pop order depends only on the heap's contents,
+        not on how they are laid out.
         """
         if k < 1:
             raise RankError(f"rank must be at least 1, got {k}")
         popped = self._popped
         if k <= len(popped):
             return popped[k - 1]
-        heap = self._heap
+        heap, nodes = self._heap, self._nodes
         expand = self._expand
         heappush, heapreplace, heappop = heapq.heappush, heapq.heapreplace, heapq.heappop
-        seq = self._tie_seq
-        try:
-            for _ in range(k - len(popped)):
-                if not heap:
-                    raise RankError(f"rank {k} exceeds the {len(popped)} subsets in this tree")
-                node = heap[0][2]
-                children = expand(node)
-                popped.append(node)
-                if children:
-                    first = children[0]
-                    heapreplace(heap, (first.cached_sum, seq, first))
-                    seq += 1
-                    for child in children[1:]:
-                        heappush(heap, (child.cached_sum, seq, child))
-                        seq += 1
-                else:
-                    heappop(heap)
-        finally:
-            self._tie_seq = seq
+        for _ in range(k - len(popped)):
+            if not heap:
+                raise RankError(f"rank {k} exceeds the {len(popped)} subsets in this tree")
+            node = nodes[heap[0] & _SEQ_MASK]
+            children = iter(expand(node))
+            popped.append(node)
+            child = next(children, None)
+            if child is None:
+                heappop(heap)
+                continue
+            heapreplace(heap, child.cached_sum << _SEQ_SHIFT | len(nodes))
+            nodes.append(child)
+            for child in children:
+                heappush(heap, child.cached_sum << _SEQ_SHIFT | len(nodes))
+                nodes.append(child)
         return popped[k - 1]
 
 

@@ -124,6 +124,21 @@ class TestSolveCommand:
         assert code == 2
         assert "error:" in err
 
+    def test_non_utf8_file_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "binary.txt"
+        path.write_bytes(b"\xff\xfe1,2 ; 3\n")
+        code, out, err = run(capsys, "solve", "--file", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path} is not UTF-8 text")
+
+    def test_file_parse_error_names_the_line(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("1 2 3 ; 6\n\n1 2 x ; 4\n")
+        code, _, err = run(capsys, "solve", "--file", str(path))
+        assert code == 2
+        assert err.strip() == f"error: {path}, line 3: not an integer: 'x'"
+
     def test_missing_file_exits_two(self, capsys):
         code, _, err = run(capsys, "solve", "--file", "/nonexistent/instances.txt")
         assert code == 2

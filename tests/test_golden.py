@@ -1,10 +1,11 @@
-"""Golden behaviour hash over a fixed seeded mix of solves.
+"""Golden behaviour hashes over fixed seeded mixes of solves.
 
 Every returned subset, node count and per-length probe count depends on the
 frontier's pop order, tie order included. Hashing them over a fixed mix of
 instances pins that behaviour, so a hot-path change that shifts which of two
 equal-sum subsets is found first, or how many nodes a search expands, fails
-here even when every decision stays correct.
+here even when every decision stays correct. The small mix keeps every heap
+small; the N=14 mix pins sift paths on frontiers of thousands of entries.
 """
 
 import hashlib
@@ -12,9 +13,10 @@ import random
 
 from subsetsum import InputSet, solve, solve_positive
 
-# sha256 of _behaviour(). Change it only with a deliberate change of behaviour,
-# and record the reason in CHANGES.md.
+# sha256 of _behaviour() over each mix. Change them only with a deliberate
+# change of behaviour, and record the reason in CHANGES.md.
 GOLDEN = "2855f9ed15213eae0bb1574907987df63e9181485d57a6428262743d1c48df5b"
+GOLDEN_N14 = "2f6ecc81d025f9a15e47c031cb1d79595cfaa3226c5b75b699f417e8fb4eee44"
 
 
 def _instances():
@@ -36,9 +38,27 @@ def _instances():
         yield kind, InputSet(tuple(values), target)
 
 
-def _behaviour() -> str:
+def _large_instances():
+    """Four N=14 solves whose frontiers peak at 196 to 2,818 pending nodes.
+
+    Window off, over wide signed values and over heavily tied values 1..4
+    whose target sits just under the sum of the 9 largest, so the shorter
+    lengths are enumerated whole; then the power-set search over values
+    1..1000 and over heavily tied values 1..30.
+    """
+    rng = random.Random(20261018)
+    wide = [rng.randint(-10**6, 10**6) for _ in range(14)]
+    yield 1, InputSet(tuple(wide), sum(rng.sample(wide, 7)))
+    ties = [rng.randint(1, 4) for _ in range(14)]
+    yield 1, InputSet(tuple(ties), sum(sorted(ties)[-9:]) - 1)
+    for hi, k in ((1000, 7), (30, 9)):
+        values = [rng.randint(1, hi) for _ in range(14)]
+        yield 2, InputSet(tuple(values), sum(rng.sample(values, k)))
+
+
+def _behaviour(instances) -> str:
     lines = []
-    for kind, inst in _instances():
+    for kind, inst in instances:
         if kind == 0:
             outcome = solve(inst)
         elif kind == 1:
@@ -51,4 +71,8 @@ def _behaviour() -> str:
 
 
 def test_behaviour_matches_golden_hash():
-    assert _behaviour() == GOLDEN
+    assert _behaviour(_instances()) == GOLDEN
+
+
+def test_large_frontier_behaviour_matches_golden_hash():
+    assert _behaviour(_large_instances()) == GOLDEN_N14

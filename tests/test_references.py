@@ -15,6 +15,7 @@ import pytest
 from subsetsum import (
     Frontier,
     IndexSubset,
+    RankError,
     ScaledSet,
     SubsetTree,
     binheap_children,
@@ -164,3 +165,45 @@ def test_raising_expand_leaves_frontier_unchanged(tree_index):
     fresh = Frontier(root, expand)
     assert [frontier.select(k) for k in range(1, total + 1)] == [fresh.select(k) for k in range(1, total + 1)]
     assert frontier.nodes_expanded == fresh.nodes_expanded == total
+
+
+# Sums no scaled set produces: negative, zero, beyond 64 bits either way, and
+# 2**70 against 2**70 + 1, which a float cannot tell apart.
+_EXTREME_SUMS = (
+    -(2**70), -(2**63) - 1, -(2**63), -(2**63) + 1, -5, -1, 0, 1, 7,
+    2**63 - 1, 2**63, 2**63 + 1, 2**64, 2**70, 2**70 + 1,
+)
+_SUM_POOLS = {
+    "all": _EXTREME_SUMS,
+    "float-equal": (2**70, 2**70 + 1),
+    "i64-edges": (-(2**63), 0, 2**63 - 1),
+    "sign": (-1, 0, 1),
+}
+
+
+def _synthetic_tree(pool, seed, size):
+    """A root and an expand over `size` nodes whose sums are drawn from pool.
+
+    Sums are not heap-ordered and the few distinct values tie heavily. Each
+    node's index tuple is its own id, so equal nodes are the same node.
+    """
+    rng = random.Random(seed)
+    nodes = [IndexSubset((i,), rng.choice(pool)) for i in range(size)]
+    children = [[] for _ in range(size)]
+    for i in range(1, size):
+        children[rng.randrange(i)].append(nodes[i])
+    return nodes[0], lambda node: children[node.indices[0]]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("pool", list(_SUM_POOLS), ids=str)
+def test_pop_order_on_sums_the_solver_never_produces(pool, seed):
+    size = 600
+    root, expand = _synthetic_tree(_SUM_POOLS[pool], seed, size)
+    frontier = Frontier(root, expand)
+    reference = ReferenceFrontier(root, expand)
+    got = [frontier.select(k) for k in range(1, size + 1)]
+    assert got == [reference.select(k) for k in range(1, size + 1)]
+    assert frontier.nodes_expanded == len(reference.popped) == size
+    with pytest.raises(RankError):
+        frontier.select(size + 1)

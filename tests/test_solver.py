@@ -4,15 +4,18 @@ import sys
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from subsetsum import (
+    I64_MAX,
+    I64_MIN,
     CapacityError,
     InputError,
     InputSet,
     brute_force_solve,
     dp_decision,
+    normalize,
     solve,
     solve_positive,
 )
@@ -173,6 +176,59 @@ def test_minimum_cardinality(instance):
     assert outcome.found == (reference is not None)
     if outcome.found:
         assert len(outcome.subset) == len(reference)
+
+
+I64_EDGES = (I64_MIN, I64_MIN + 1, -(2**62), -1, 0, 1, 2**62, I64_MAX - 1, I64_MAX)
+
+
+@st.composite
+def differential_instances(draw):
+    """N <= 12 sets: duplicate-heavy with zeros, all-negative, or mixed with i64-edge values."""
+    shape = draw(st.sampled_from(("duplicates", "negative", "edges")))
+    if shape == "duplicates":
+        element = st.sampled_from(draw(st.lists(st.integers(-4, 4), min_size=1, max_size=3)))
+    elif shape == "negative":
+        element = st.integers(-30, -1)
+    else:
+        element = st.one_of(st.integers(-20, 20), st.sampled_from(I64_EDGES))
+    values = draw(st.lists(element, min_size=1, max_size=12))
+    target = draw(
+        st.one_of(
+            st.lists(st.sampled_from(values), min_size=1, max_size=len(values)).map(sum),
+            st.integers(-60, 60),
+            st.sampled_from(I64_EDGES),
+        )
+    )
+    assume(I64_MIN <= target <= I64_MAX)
+    return InputSet(tuple(values), target)
+
+
+@given(differential_instances())
+@settings(max_examples=250, deadline=None)
+def test_solve_matches_brute_force(instance):
+    """Decision, sum and exact minimum cardinality, or a CapacityError where one is due."""
+    reference = brute_force_solve(instance)
+    try:
+        s = normalize(instance)
+    except CapacityError:
+        s = None
+    # solve stops at the minimum cardinality, so it scales the target of every
+    # length up to that one and of no longer length.
+    searched = len(reference) if reference is not None else len(instance.values)
+    if s is None or any(
+        not I64_MIN <= instance.target + s.offset * n <= I64_MAX for n in range(1, searched + 1)
+    ):
+        with pytest.raises(CapacityError):
+            solve(instance)
+        return
+    outcome = solve(instance)
+    assert outcome.found == (reference is not None)
+    if outcome.found:
+        assert sum(outcome.subset) == instance.target
+        assert len(outcome.subset) == len(reference)
+        counts = Counter(instance.values)
+        counts.subtract(outcome.subset)
+        assert all(v >= 0 for v in counts.values())
 
 
 @given(st.lists(st.integers(1, 25), min_size=1, max_size=9), st.integers(0, 120))
