@@ -69,7 +69,7 @@ def parse_instance_line(line: str) -> InputSet:
 def _read_instance_file(path: str) -> list[InputSet]:
     """Parse every nonblank line of an instance file; errors name the file and line."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not UTF-8 text: {exc.reason}") from None
@@ -87,10 +87,10 @@ def _format_subset(values: Iterable[int]) -> str:
     return "{" + ", ".join(str(v) for v in values) + "}"
 
 
-def _print_trace(instance: InputSet, traces: list[OrderTrace], stream) -> None:
+def _print_trace(instance: InputSet, orders: Iterable[OrderTrace], stream) -> None:
     s = normalize(instance)
     print(f"offset {s.offset}, scaled set {_format_subset(s.scaled_values)}", file=stream)
-    for t in traces:
+    for t in orders:
         label = f"order {t.order}" if t.order else "powerset"
         ranks = "[" + ", ".join(str(r) for r in t.ranks_probed) + "]"
         outcome = "hit" if t.found else "miss"
@@ -111,14 +111,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     all_found = True
     for instance in instances:
-        traces: list[OrderTrace] = []
-        if args.positive_fast_path:
-            outcome = solve_positive(instance, traces if args.trace else None)
-        else:
-            outcome = solve(instance, traces if args.trace else None)
+        outcome = (solve_positive if args.positive_fast_path else solve)(instance)
         if args.trace:
             # Keep stdout a single JSON object in --json mode.
-            _print_trace(instance, traces, sys.stderr if args.json else sys.stdout)
+            _print_trace(instance, outcome.stats.orders, sys.stderr if args.json else sys.stdout)
         if args.json:
             payload = {
                 "found": outcome.found,
@@ -287,7 +283,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     sweep_n = min(args.max_n, 12)
     results = [
         _selftest_equivalence(rng, args.max_n, args.instances),
-        _selftest_subset_trees(rng, args.max_n),
+        _selftest_subset_trees(rng, sweep_n),
         _selftest_powerset(rng, sweep_n),
         _selftest_heap_order(rng, sweep_n),
     ]
@@ -335,7 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.set_defaults(handler=cmd_bench)
 
     p_self = sub.add_parser("selftest", help="cross-check the solver against its oracles")
-    p_self.add_argument("--max-n", type=int, default=10, help="largest set size checked (default 10)")
+    p_self.add_argument(
+        "--max-n", type=int, default=10,
+        help="largest set size checked (default 10); the exhaustive tree walks stop at N=12",
+    )
     p_self.add_argument(
         "--instances", type=int, default=10000, help="random equivalence instances (default 10000)"
     )

@@ -67,7 +67,7 @@ def _is_i64(v: object) -> bool:
 class ScaledSet:
     """Sorted original values plus the offset making every scaled value >= 1.
 
-    scaled(i) == sorted_values[i] + offset, with offset == max(0, 1 - min).
+    scaled_values[i] == sorted_values[i] + offset, with offset == max(0, 1 - min).
     A set containing zero or negative values is therefore shifted just far
     enough to become strictly positive, and the worst-case subset sum
     N * max_scaled is checked against the 64-bit signed bound up front so
@@ -99,10 +99,6 @@ class ScaledSet:
     @property
     def size(self) -> int:
         return len(self.sorted_values)
-
-    def scaled(self, i: int) -> int:
-        """Scaled value at sorted position i."""
-        return self.scaled_values[i]
 
 
 class IndexSubset(NamedTuple):

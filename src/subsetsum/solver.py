@@ -12,7 +12,7 @@ may run concurrently without coordination.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .model import (
@@ -26,31 +26,45 @@ from .model import (
     normalize,
     unscale,
 )
-from .powerset import binheap_frontier, lower_bound_rank_search
+from .powerset import Frontier, binheap_frontier, lower_bound_rank_search
 from .subset_tree import SubsetTree, subtree_frontier
 
 
-@dataclass
-class SearchStats:
-    """Instrumentation accumulated over one solve call."""
-
-    orders_searched: int = 0
-    probes_per_order: list[int] = field(default_factory=list)
-    nodes_expanded: int = 0
-    elapsed_ns: int = 0
-
-
 class OrderTrace(NamedTuple):
-    """One searched subset length: its rescaled target and the ranks probed.
+    """The record of one searched subset length.
 
     order is the subset length, or 0 for the single whole-powerset search
-    made by solve_positive.
+    made by solve_positive. ranks_probed lists every rank the binary search
+    selected, in order, and nodes_expanded counts the tree nodes those
+    selections expanded. A length whose target lies outside its reachable
+    window is skipped: no ranks, no nodes, not found.
     """
 
     order: int
     scaled_target: int
     ranks_probed: tuple[int, ...]
     found: bool
+    nodes_expanded: int
+
+
+@dataclass(frozen=True)
+class SearchStats:
+    """Per-length search records of one solve call and its wall time; totals derive from them."""
+
+    orders: tuple[OrderTrace, ...]
+    elapsed_ns: int
+
+    @property
+    def orders_searched(self) -> int:
+        return len(self.orders)
+
+    @property
+    def probes_per_order(self) -> list[int]:
+        return [len(t.ranks_probed) for t in self.orders]
+
+    @property
+    def nodes_expanded(self) -> int:
+        return sum(t.nodes_expanded for t in self.orders)
 
 
 @dataclass(frozen=True)
@@ -65,38 +79,39 @@ class SolveOutcome:
         return self.subset is not None
 
 
-def _search_order(
+def _rank_search(
+    frontier: Frontier, total: int, order: int, scaled_target: int
+) -> tuple[IndexSubset | None, OrderTrace]:
+    """Binary-search one tree's ranks for scaled_target; returns the match and the record."""
+    ranks: list[int] = []
+    found, _ = lower_bound_rank_search(frontier, total, scaled_target, ranks)
+    return found, OrderTrace(order, scaled_target, tuple(ranks), found is not None, frontier.nodes_expanded)
+
+
+def _outcome(
+    input_set: InputSet,
     s: ScaledSet,
-    n: int,
-    scaled_target: int,
-    rank_log: list[int] | None = None,
-    range_check: bool = True,
-) -> tuple[IndexSubset | None, int, int]:
-    """Search one length; returns (subset or None, probes, nodes expanded).
+    found: IndexSubset | None,
+    orders: list[OrderTrace],
+    started: int,
+    trace: list[OrderTrace] | None,
+) -> SolveOutcome:
+    """Map a found subset back to original values and pack the records.
 
-    Targets outside the reachable window, below the sum of the n smallest
-    scaled values or above the sum of the n largest, miss with zero probes.
+    A found subset that misses the target is an internal fault; the check
+    raises rather than asserts so that it also runs under python -O.
     """
-    if range_check:
-        lowest = sum(s.scaled_values[:n])
-        highest = sum(s.scaled_values[-n:])
-        if not lowest <= scaled_target <= highest:
-            return None, 0, 0
-    tree = SubsetTree(s, n)
-    frontier = subtree_frontier(tree)
-    found, probes = lower_bound_rank_search(frontier, tree.total, scaled_target, rank_log)
-    return found, probes, frontier.nodes_expanded
-
-
-def _unscale_checked(found: IndexSubset, s: ScaledSet, target: int) -> tuple[int, ...]:
-    """Map a found subset back to original values; a wrong sum is an internal fault.
-
-    The check raises rather than asserts so that it also runs under python -O.
-    """
-    values = unscale(found, s)
-    if sum(values) != target:
-        raise RuntimeError(f"internal fault: found subset {values} does not sum to the target {target}")
-    return values
+    values = None
+    if found is not None:
+        values = unscale(found, s)
+        if sum(values) != input_set.target:
+            raise RuntimeError(
+                f"internal fault: found subset {values} does not sum to the target {input_set.target}"
+            )
+    stats = SearchStats(tuple(orders), time.perf_counter_ns() - started)
+    if trace is not None:
+        trace.extend(stats.orders)
+    return SolveOutcome(values, stats)
 
 
 def solve(
@@ -106,33 +121,33 @@ def solve(
 ) -> SolveOutcome:
     """Find a minimum-cardinality subset of the input summing to the target.
 
-    Pass a list as trace to collect one OrderTrace per searched length.
-    range_check=False disables the per-length reachable-window shortcut and
-    forces the full binary search on every length; decisions are unchanged
-    and worst-case benchmarks use it to measure full probing cost.
+    outcome.stats.orders holds one OrderTrace per searched length; a list
+    passed as trace receives the same records. Targets outside a length's
+    reachable window, below the sum of its n smallest scaled values or
+    above the sum of its n largest, are skipped without a search.
+    range_check=False disables that shortcut and forces the full binary
+    search on every length; decisions are unchanged and worst-case
+    benchmarks use it to measure full probing cost.
     """
     started = time.perf_counter_ns()
     s = normalize(input_set)
-    stats = SearchStats()
-    values: tuple[int, ...] | None = None
+    orders: list[OrderTrace] = []
+    found = None
     for order in range(1, s.size + 1):
         scaled_target = input_set.target + s.offset * order
         if not I64_MIN <= scaled_target <= I64_MAX:
             raise CapacityError(
                 f"scaled target {scaled_target} for length {order} exceeds the 64-bit signed range"
             )
-        rank_log: list[int] | None = [] if trace is not None else None
-        found, probes, expanded = _search_order(s, order, scaled_target, rank_log, range_check)
-        stats.orders_searched += 1
-        stats.probes_per_order.append(probes)
-        stats.nodes_expanded += expanded
-        if trace is not None:
-            trace.append(OrderTrace(order, scaled_target, tuple(rank_log or ()), found is not None))
+        if range_check and not sum(s.scaled_values[:order]) <= scaled_target <= sum(s.scaled_values[-order:]):
+            orders.append(OrderTrace(order, scaled_target, (), False, 0))
+            continue
+        tree = SubsetTree(s, order)
+        found, record = _rank_search(subtree_frontier(tree), tree.total, order, scaled_target)
+        orders.append(record)
         if found is not None:
-            values = _unscale_checked(found, s, input_set.target)
             break
-    stats.elapsed_ns = time.perf_counter_ns() - started
-    return SolveOutcome(values, stats)
+    return _outcome(input_set, s, found, orders, started, trace)
 
 
 def solve_positive(input_set: InputSet, trace: list[OrderTrace] | None = None) -> SolveOutcome:
@@ -145,25 +160,12 @@ def solve_positive(input_set: InputSet, trace: list[OrderTrace] | None = None) -
     small length, so it usually expands more nodes than solve; on positive
     N=16 inputs it expanded about six times as many. Decisions and solution
     sums agree with solve on any strictly positive input, but the subset
-    found need not have minimum cardinality. Stats record the search as one
-    order.
+    found need not have minimum cardinality. stats.orders holds the search
+    as one record of order 0; a list passed as trace receives it too.
     """
     if min(input_set.values) <= 0:
         raise InputError("solve_positive needs strictly positive values; use solve instead")
     started = time.perf_counter_ns()
     s = normalize(input_set)
-    frontier = binheap_frontier(s)
-    rank_log: list[int] | None = [] if trace is not None else None
-    found, probes = lower_bound_rank_search(
-        frontier, (1 << s.size) - 1, input_set.target, rank_log
-    )
-    if trace is not None:
-        trace.append(OrderTrace(0, input_set.target, tuple(rank_log or ()), found is not None))
-    values = _unscale_checked(found, s, input_set.target) if found is not None else None
-    stats = SearchStats(
-        orders_searched=1,
-        probes_per_order=[probes],
-        nodes_expanded=frontier.nodes_expanded,
-        elapsed_ns=time.perf_counter_ns() - started,
-    )
-    return SolveOutcome(values, stats)
+    found, record = _rank_search(binheap_frontier(s), (1 << s.size) - 1, 0, input_set.target)
+    return _outcome(input_set, s, found, [record], started, trace)

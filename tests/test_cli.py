@@ -54,6 +54,44 @@ class TestSolveCommand:
         assert any(line.startswith("order 2: scaled target 16,") and line.endswith("miss") for line in lines)
         assert any(line.startswith("order 3: scaled target 24,") and line.endswith("hit") for line in lines)
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ("--set", "-7,-3,-2,5,8", "--target", "0"),
+                [
+                    "offset 8, scaled set {1, 5, 6, 13, 16}",
+                    "order 1: scaled target 8, ranks probed [3, 4, 4], miss",
+                    "order 2: scaled target 16, ranks probed [5, 3, 4, 5], miss",
+                    "order 3: scaled target 24, ranks probed [5, 8, 7, 6, 6], hit",
+                    "FOUND: {-3, -2, 5}",
+                ],
+            ),
+            (
+                ("--set", "2,5,7", "--target", "13"),
+                [
+                    "offset 0, scaled set {2, 5, 7}",
+                    "order 1: scaled target 13, ranks probed [], miss",
+                    "order 2: scaled target 13, ranks probed [], miss",
+                    "order 3: scaled target 13, ranks probed [], miss",
+                    "NOT FOUND",
+                ],
+            ),
+            (
+                ("--set", "2,5,7", "--target", "9", "--positive-fast-path"),
+                [
+                    "offset 0, scaled set {2, 5, 7}",
+                    "powerset: scaled target 9, ranks probed [4, 6, 5, 5], hit",
+                    "FOUND: {2, 7}",
+                ],
+            ),
+        ],
+    )
+    def test_trace_pins_every_probed_rank(self, capsys, argv, expected):
+        code, out, _ = run(capsys, "solve", *argv, "--trace")
+        assert code == (0 if expected[-1].startswith("FOUND") else 1)
+        assert out.splitlines() == expected
+
     def test_json_fields(self, capsys):
         code, out, _ = run(capsys, "solve", "--set", "-7,-3,-2,5,8", "--target", "0", "--json")
         assert code == 0
@@ -131,6 +169,13 @@ class TestSolveCommand:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {path} is not UTF-8 text")
+
+    def test_file_with_byte_order_mark(self, capsys, tmp_path):
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xef\xbb\xbf1,2 ; 3\n")
+        code, out, _ = run(capsys, "solve", "--file", str(path))
+        assert code == 0
+        assert out.strip() == "FOUND: {1, 2}"
 
     def test_file_parse_error_names_the_line(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
@@ -211,6 +256,11 @@ class TestSelftestCommand:
         code, out, _ = run(capsys, "selftest", "--max-n", "6", "--instances", "100")
         assert code == 0
         assert "selftest: 4/4 suites passed" in out
+
+    def test_tree_walks_stop_at_twelve(self, capsys):
+        code, out, _ = run(capsys, "selftest", "--max-n", "14", "--instances", "10")
+        assert code == 0
+        assert "ok subset-tree completeness: all lengths up to N=12" in out.splitlines()
 
     def test_corrupted_build_fails(self, capsys, monkeypatch):
         import subsetsum.cli as cli_module

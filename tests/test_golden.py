@@ -1,11 +1,12 @@
 """Golden behaviour hashes over fixed seeded mixes of solves.
 
-Every returned subset, node count and per-length probe count depends on the
-frontier's pop order, tie order included. Hashing them over a fixed mix of
-instances pins that behaviour, so a hot-path change that shifts which of two
-equal-sum subsets is found first, or how many nodes a search expands, fails
-here even when every decision stays correct. The small mix keeps every heap
-small; the N=14 mix pins sift paths on frontiers of thousands of entries.
+Every returned subset, node count, per-length probe count and probed rank
+depends on the frontier's pop order, tie order included. Hashing them over a
+fixed mix of instances pins that behaviour, so a hot-path change that shifts
+which of two equal-sum subsets is found first, or how many nodes a search
+expands, fails here even when every decision stays correct. The small mix
+keeps every heap small; the N=14 mix pins sift paths on frontiers of
+thousands of entries.
 """
 
 import hashlib
@@ -17,6 +18,10 @@ from subsetsum import InputSet, solve, solve_positive
 # change of behaviour, and record the reason in CHANGES.md.
 GOLDEN = "2855f9ed15213eae0bb1574907987df63e9181485d57a6428262743d1c48df5b"
 GOLDEN_N14 = "2f6ecc81d025f9a15e47c031cb1d79595cfaa3226c5b75b699f417e8fb4eee44"
+# sha256 of _probed_ranks() over the small mix: the 389 per-length records,
+# every probed rank in probe order. Computed before the records became the
+# only search state, from the trace list.
+GOLDEN_RANKS = "0c2fa401a90e6fc278ffc463dae1f163c214063e142845d88beed0c65350135b"
 
 
 def _instances():
@@ -56,18 +61,33 @@ def _large_instances():
         yield 2, InputSet(tuple(values), sum(rng.sample(values, k)))
 
 
+def _run(kind, inst, trace=None):
+    if kind == 2:
+        return solve_positive(inst, trace)
+    return solve(inst, trace, range_check=kind == 0)
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def _behaviour(instances) -> str:
     lines = []
     for kind, inst in instances:
-        if kind == 0:
-            outcome = solve(inst)
-        elif kind == 1:
-            outcome = solve(inst, range_check=False)
-        else:
-            outcome = solve_positive(inst)
+        outcome = _run(kind, inst)
         stats = outcome.stats
         lines.append(repr((kind, outcome.subset, stats.nodes_expanded, tuple(stats.probes_per_order))))
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    return _digest(lines)
+
+
+def _probed_ranks(instances) -> str:
+    """Every record's (order, scaled_target, ranks_probed, found), collected through trace."""
+    lines = []
+    for kind, inst in instances:
+        trace = []
+        _run(kind, inst, trace)
+        lines.extend(repr((t.order, t.scaled_target, t.ranks_probed, t.found)) for t in trace)
+    return _digest(lines)
 
 
 def test_behaviour_matches_golden_hash():
@@ -76,3 +96,7 @@ def test_behaviour_matches_golden_hash():
 
 def test_large_frontier_behaviour_matches_golden_hash():
     assert _behaviour(_large_instances()) == GOLDEN_N14
+
+
+def test_probed_ranks_match_golden_hash():
+    assert _probed_ranks(_instances()) == GOLDEN_RANKS

@@ -70,7 +70,7 @@ class TestScaledSet:
 
     def test_scaled_accessor(self):
         s = ScaledSet((-7, -3, -2, 5, 8), 8)
-        assert [s.scaled(i) for i in range(s.size)] == [1, 5, 6, 13, 16]
+        assert [s.scaled_values[i] for i in range(s.size)] == [1, 5, 6, 13, 16]
 
 
 class TestUnscale:
@@ -114,7 +114,7 @@ def test_scaling_preserves_order_and_positivity(values):
     assert all(v >= 1 for v in s.scaled_values)
     for i in range(s.size):
         for j in range(i, s.size):
-            assert (s.scaled(i) <= s.scaled(j)) == (s.sorted_values[i] <= s.sorted_values[j])
+            assert (s.scaled_values[i] <= s.scaled_values[j]) == (s.sorted_values[i] <= s.sorted_values[j])
 
 
 @given(st.lists(st.integers(1, 100), min_size=1, max_size=12))

@@ -1,4 +1,5 @@
 import math
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -13,11 +14,14 @@ from subsetsum import (
     CapacityError,
     InputError,
     InputSet,
+    SubsetTree,
+    binheap_frontier,
     brute_force_solve,
     dp_decision,
     normalize,
     solve,
     solve_positive,
+    subtree_frontier,
 )
 
 instances = st.tuples(
@@ -90,6 +94,7 @@ class TestSolve:
         assert outcome.stats.orders_searched == 3
         assert outcome.stats.probes_per_order == [0, 0, 0]
         assert outcome.stats.nodes_expanded == 0
+        assert [(r.ranks_probed, r.found, r.nodes_expanded) for r in outcome.stats.orders] == [((), False, 0)] * 3
 
     def test_range_check_off_still_agrees(self):
         instance = InputSet((2, 5, 7), 100)
@@ -120,6 +125,7 @@ class TestSolve:
         outcome = solve(InputSet((1, 2, 3), 7))
         stats = outcome.stats
         assert stats.orders_searched == len(stats.probes_per_order)
+        assert stats.probes_per_order == [len(r.ranks_probed) for r in stats.orders]
         assert stats.elapsed_ns > 0
         assert_probe_bounds(stats, 3)
 
@@ -148,6 +154,40 @@ class TestSolvePositive:
         assert len(traces) == 1
         assert traces[0].order == 0
         assert traces[0].found
+
+
+class TestSearchRecords:
+    """Each OrderTrace is the whole record of one length; the stats totals derive from it."""
+
+    @staticmethod
+    def replayed_nodes(frontier, ranks):
+        for rank in ranks:
+            frontier.select(rank)
+        return frontier.nodes_expanded
+
+    def test_nodes_expanded_replays_from_probed_ranks(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            values = tuple(rng.randint(-20, 20) for _ in range(rng.randint(1, 9)))
+            instance = InputSet(values, rng.randint(-40, 40))
+            s = normalize(instance)
+            outcome = solve(instance, range_check=False)
+            for record in outcome.stats.orders:
+                tree = SubsetTree(s, record.order)
+                assert self.replayed_nodes(subtree_frontier(tree), record.ranks_probed) == record.nodes_expanded
+            assert outcome.stats.nodes_expanded == sum(r.nodes_expanded for r in outcome.stats.orders)
+
+    def test_powerset_record_replays_from_probed_ranks(self):
+        instance = InputSet((3, 1, 4, 1, 5, 9, 2, 6), 17)
+        (record,) = solve_positive(instance).stats.orders
+        assert self.replayed_nodes(binheap_frontier(normalize(instance)), record.ranks_probed) == record.nodes_expanded
+
+    @pytest.mark.parametrize("call", [solve, solve_positive])
+    def test_trace_holds_exactly_the_stats_records(self, call):
+        trace = []
+        outcome = call(InputSet((2, 5, 7, 11), 18), trace)
+        assert len(trace) == len(outcome.stats.orders)
+        assert all(a is b for a, b in zip(trace, outcome.stats.orders))
 
 
 @given(instances)
