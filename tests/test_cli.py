@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -255,12 +257,24 @@ class TestSelftestCommand:
     def test_small_selftest_passes(self, capsys):
         code, out, _ = run(capsys, "selftest", "--max-n", "6", "--instances", "100")
         assert code == 0
-        assert "selftest: 4/4 suites passed" in out
+        assert out == (
+            "ok solver-vs-dp: 100 random instances agree\n"
+            "ok subset-tree completeness: all lengths up to N=6\n"
+            "ok powerset completeness: all sets up to N=6\n"
+            "ok heap order: parent sums <= child sums up to N=6\n"
+            "selftest: 4/4 suites passed\n"
+        )
 
     def test_tree_walks_stop_at_twelve(self, capsys):
         code, out, _ = run(capsys, "selftest", "--max-n", "14", "--instances", "10")
         assert code == 0
-        assert "ok subset-tree completeness: all lengths up to N=12" in out.splitlines()
+        assert out == (
+            "ok solver-vs-dp: 10 random instances agree\n"
+            "ok subset-tree completeness: all lengths up to N=12\n"
+            "ok powerset completeness: all sets up to N=12\n"
+            "ok heap order: parent sums <= child sums up to N=12\n"
+            "selftest: 4/4 suites passed\n"
+        )
 
     def test_corrupted_build_fails(self, capsys, monkeypatch):
         import subsetsum.cli as cli_module
@@ -282,6 +296,42 @@ class TestSelftestCommand:
         code, out, _ = run(capsys, "selftest", "--max-n", "5", "--instances", "10")
         assert code == 1
         assert f"FAIL {suite}" in out
+
+    @pytest.mark.parametrize(
+        "generator, tree", [("subtree_children", "subset-tree"), ("binheap_children", "powerset")]
+    )
+    def test_heap_order_inversion_fails(self, capsys, monkeypatch, generator, tree):
+        import subsetsum.checks as checks_module
+
+        original = getattr(checks_module, generator)
+
+        def below_parent(node, *args, **kw):
+            return [child._replace(cached_sum=node.cached_sum - 1) for child in original(node, *args, **kw)]
+
+        monkeypatch.setattr(checks_module, generator, below_parent)
+        code, out, _ = run(capsys, "selftest", "--max-n", "5", "--instances", "10")
+        lines = out.splitlines()
+        assert code == 1
+        assert "ok subset-tree completeness: all lengths up to N=5" in lines
+        assert "ok powerset completeness: all sets up to N=5" in lines
+        assert any(line.startswith(f"FAIL {tree} heap order: set=") for line in lines), out
+        assert lines[-1] == "selftest: 3/4 suites passed"
+
+    def test_tree_checks_survive_optimize(self):
+        # The selftest checks are plain comparisons, not assert statements,
+        # so python -O must still report a broken tree.
+        code = (
+            "import sys\n"
+            "import subsetsum.checks as checks\n"
+            "from subsetsum.cli import main\n"
+            "checks.subtree_children = lambda node, tree: []\n"
+            "sys.exit(main(['selftest', '--max-n', '4', '--instances', '5']))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "FAIL subset-tree completeness" in proc.stdout
 
     def test_invalid_flags_exit_two(self, capsys):
         code, _, _ = run(capsys, "selftest", "--max-n", "0")

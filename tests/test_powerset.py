@@ -81,11 +81,19 @@ class TestKthSmallest:
 
 class TestSearch:
     def test_finds_unique_pair(self):
-        found, _ = lower_bound_rank_search(binheap_frontier(ScaledSet((2, 5, 7), 0)), 7, 9)
+        found, _ = lower_bound_rank_search(binheap_frontier(ScaledSet((2, 5, 7), 0)), 7, 9, [])
         assert found is not None and found.indices == (0, 2)
 
     def test_absent_sum(self):
         assert not solve_positive(InputSet((2, 5, 7), 8)).found
+
+    def test_appends_to_a_nonempty_rank_log(self):
+        # sorted sums of {2, 5, 7}: 2 5 7 7 9 12 14; target 9 is rank 5
+        rank_log = [99]
+        found, probes = lower_bound_rank_search(binheap_frontier(ScaledSet((2, 5, 7), 0)), 7, 9, rank_log)
+        assert found is not None and found.indices == (0, 2)
+        assert rank_log == [99, 4, 6, 5, 5]
+        assert probes == 4
 
     def test_minimum_is_root(self):
         outcome = solve_positive(InputSet((2, 5, 7), 2))
@@ -96,7 +104,7 @@ class TestSearch:
         total = 2**10 - 1
         bound = math.ceil(math.log2(total)) + 1
         for target in range(0, sum(s.scaled_values) + 2):
-            _, probes = lower_bound_rank_search(binheap_frontier(s), total, target)
+            _, probes = lower_bound_rank_search(binheap_frontier(s), total, target, [])
             assert probes <= bound
 
     def test_decision_matches_brute_force_exhaustively(self):
