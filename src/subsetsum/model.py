@@ -6,9 +6,11 @@ nonnegative offset chosen so the smallest scaled value is at least 1
 (already-positive inputs keep offset 0 and are left untouched). Subsets
 are stored as strictly increasing index tuples into the sorted sequence,
 which keeps duplicate values distinct and makes "advance to the next
-element" well defined. An IndexSubset is also the node type of both
-heap-ordered trees: it carries the one piece of tree state the
-fixed-length tree needs, the lowest position a node's children may advance.
+element" well defined. Input values and targets are 64-bit signed
+integers, but scaled values and subset sums are Python ints and may
+exceed 64 bits. An IndexSubset is also the node type of both heap-ordered
+trees: it carries the one piece of tree state the fixed-length tree needs,
+the lowest position a node's children may advance.
 
 All types here are immutable after construction and safe to share across
 concurrent searches.
@@ -28,7 +30,7 @@ class InputError(ValueError):
 
 
 class CapacityError(ValueError):
-    """An operation would exceed a checked arithmetic or memory bound."""
+    """An oracle's input exceeds its fixed cap (DP_CELL_CAP, BRUTE_FORCE_MAX_SIZE or ENUMERATION_CAP)."""
 
 
 class RankError(ValueError):
@@ -69,9 +71,7 @@ class ScaledSet:
 
     scaled_values[i] == sorted_values[i] + offset, with offset == max(0, 1 - min).
     A set containing zero or negative values is therefore shifted just far
-    enough to become strictly positive, and the worst-case subset sum
-    N * max_scaled is checked against the 64-bit signed bound up front so
-    no search can overflow mid-flight.
+    enough to become strictly positive.
     """
 
     sorted_values: tuple[int, ...]
@@ -88,13 +88,7 @@ class ScaledSet:
         expected = max(0, 1 - values[0])
         if self.offset != expected:
             raise InputError(f"offset {self.offset} differs from max(0, 1 - min) = {expected}")
-        scaled = tuple(v + self.offset for v in values)
-        worst = len(values) * scaled[-1]
-        if worst > I64_MAX:
-            raise CapacityError(
-                f"worst-case subset sum N*max_scaled = {worst} exceeds the 64-bit signed bound {I64_MAX}"
-            )
-        object.__setattr__(self, "scaled_values", scaled)
+        object.__setattr__(self, "scaled_values", tuple(v + self.offset for v in values))
 
     @property
     def size(self) -> int:
@@ -133,11 +127,8 @@ class IndexSubset(NamedTuple):
 def normalize(input_set: InputSet) -> ScaledSet:
     """Sort the input values and shift them into a strictly positive scaled set.
 
-    Deterministic for a given input; raises InputError on an empty set and
-    CapacityError when the worst-case scaled sum would overflow 64 bits.
+    Deterministic for a given input.
     """
-    if not input_set.values:
-        raise InputError("input set must contain at least one value")
     values = tuple(sorted(input_set.values))
     return ScaledSet(values, max(0, 1 - values[0]))
 

@@ -16,9 +16,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .model import (
-    I64_MAX,
-    I64_MIN,
-    CapacityError,
     IndexSubset,
     InputError,
     InputSet,
@@ -135,10 +132,6 @@ def solve(
     found = None
     for order in range(1, s.size + 1):
         scaled_target = input_set.target + s.offset * order
-        if not I64_MIN <= scaled_target <= I64_MAX:
-            raise CapacityError(
-                f"scaled target {scaled_target} for length {order} exceeds the 64-bit signed range"
-            )
         if range_check and not sum(s.scaled_values[:order]) <= scaled_target <= sum(s.scaled_values[-order:]):
             orders.append(OrderTrace(order, scaled_target, (), False, 0))
             continue

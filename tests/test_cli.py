@@ -47,6 +47,13 @@ class TestSolveCommand:
         assert code == 1
         assert out.strip() == "NOT FOUND"
 
+    def test_wide_mixed_sign_set(self, capsys):
+        # The scaled values reach 2**61 + 1, so the whole set's scaled sum passes 2**63 - 1.
+        wide = f"{-(2**60)},{2**60},1,2,3,4,5,6"
+        code, out, _ = run(capsys, "solve", "--set", wide, "--target", "7")
+        assert code == 0
+        assert out.strip() == "FOUND: {3, 4}"
+
     def test_trace_shows_scaled_targets(self, capsys):
         code, out, _ = run(capsys, "solve", "--set", "-7,-3,-2,5,8", "--target", "0", "--trace")
         assert code == 0

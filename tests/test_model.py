@@ -3,8 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subsetsum import (
-    I64_MAX,
-    CapacityError,
     IndexSubset,
     InputError,
     InputSet,
@@ -52,9 +50,8 @@ class TestNormalize:
         with pytest.raises(InputError):
             InputSet(values, target)
 
-    def test_overflow_guard_names_the_bound(self):
-        with pytest.raises(CapacityError, match="N\\*max_scaled"):
-            normalize(InputSet((2**62, 2**62), 0))
+    def test_scaled_values_may_pass_64_bits(self):
+        assert normalize(InputSet((-(2**63), 2**63 - 1), 0)).scaled_values == (1, 2**64)
 
 
 class TestScaledSet:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from subsetsum import (
     I64_MAX,
     I64_MIN,
-    CapacityError,
     InputError,
     InputSet,
     SubsetTree,
@@ -102,9 +101,17 @@ class TestSolve:
         assert not outcome.found
         assert outcome.stats.nodes_expanded == 2**3 - 1
 
-    def test_scaled_target_overflow_raises(self):
-        with pytest.raises(CapacityError):
-            solve(InputSet((-(2**62),), 2**62))
+    @pytest.mark.parametrize("range_check", [True, False])
+    def test_scaled_target_past_i64_max_not_found(self, range_check):
+        # Scaled target 2**62 + (2**62 + 1) passes 2**63 - 1; the one subset sums to 1.
+        assert not solve(InputSet((-(2**62),), 2**62), range_check=range_check).found
+
+    def test_positive_sums_past_i64_max(self):
+        # Every subset of three or four values sums past 2**63 - 1.
+        instance = InputSet((2**62, 2**62 - 1, 2**62 + 1, 3), 2**63 - 1)
+        outcome = solve_positive(instance)
+        assert outcome.found
+        assert sum(outcome.subset) == instance.target
 
     def test_wrong_solution_sum_raises_under_optimize(self):
         # A solver fault that unscales to the wrong values must not pass as a
@@ -218,7 +225,7 @@ def test_minimum_cardinality(instance):
         assert len(outcome.subset) == len(reference)
 
 
-I64_EDGES = (I64_MIN, I64_MIN + 1, -(2**62), -1, 0, 1, 2**62, I64_MAX - 1, I64_MAX)
+I64_EDGES = (I64_MIN, I64_MIN + 1, -(2**62), -(2**60), -1, 0, 1, 2**60, 2**62, I64_MAX - 1, I64_MAX)
 
 
 @st.composite
@@ -246,29 +253,17 @@ def differential_instances(draw):
 @given(differential_instances())
 @settings(max_examples=250, deadline=None)
 def test_solve_matches_brute_force(instance):
-    """Decision, sum and exact minimum cardinality, or a CapacityError where one is due."""
+    """Decision, sum and exact minimum cardinality, with the reachable window on and off."""
     reference = brute_force_solve(instance)
-    try:
-        s = normalize(instance)
-    except CapacityError:
-        s = None
-    # solve stops at the minimum cardinality, so it scales the target of every
-    # length up to that one and of no longer length.
-    searched = len(reference) if reference is not None else len(instance.values)
-    if s is None or any(
-        not I64_MIN <= instance.target + s.offset * n <= I64_MAX for n in range(1, searched + 1)
-    ):
-        with pytest.raises(CapacityError):
-            solve(instance)
-        return
-    outcome = solve(instance)
-    assert outcome.found == (reference is not None)
-    if outcome.found:
-        assert sum(outcome.subset) == instance.target
-        assert len(outcome.subset) == len(reference)
-        counts = Counter(instance.values)
-        counts.subtract(outcome.subset)
-        assert all(v >= 0 for v in counts.values())
+    for range_check in (True, False):
+        outcome = solve(instance, range_check=range_check)
+        assert outcome.found == (reference is not None)
+        if outcome.found:
+            assert sum(outcome.subset) == instance.target
+            assert len(outcome.subset) == len(reference)
+            counts = Counter(instance.values)
+            counts.subtract(outcome.subset)
+            assert all(v >= 0 for v in counts.values())
 
 
 @given(st.lists(st.integers(1, 25), min_size=1, max_size=9), st.integers(0, 120))
