@@ -14,8 +14,6 @@ from .model import (
     IndexSubset,
     InputError,
     InputSet,
-    OrderError,
-    RankError,
     ScaledSet,
     normalize,
     unscale,
@@ -50,9 +48,7 @@ __all__ = [
     "IndexSubset",
     "InputError",
     "InputSet",
-    "OrderError",
     "OrderTrace",
-    "RankError",
     "ScaledSet",
     "SearchStats",
     "SolveOutcome",

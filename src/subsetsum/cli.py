@@ -26,8 +26,6 @@ from .model import (
     CapacityError,
     InputError,
     InputSet,
-    OrderError,
-    RankError,
     ScaledSet,
     normalize,
 )
@@ -352,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except (InputError, CapacityError, OrderError, RankError, OSError) as exc:
+    except (InputError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

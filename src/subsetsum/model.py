@@ -26,19 +26,16 @@ I64_MAX = 2**63 - 1
 
 
 class InputError(ValueError):
-    """An input set, target, or argument violates the input contract."""
+    """An argument violates the input contract.
+
+    That covers input values and targets that are not 64-bit signed
+    integers, a malformed scaled set or index subset, a subset length
+    outside [1, N], and a rank outside [1, tree size].
+    """
 
 
 class CapacityError(ValueError):
     """An oracle's input exceeds its fixed cap (DP_CELL_CAP, BRUTE_FORCE_MAX_SIZE or ENUMERATION_CAP)."""
-
-
-class RankError(ValueError):
-    """A requested rank lies outside [1, number of subsets]."""
-
-
-class OrderError(ValueError):
-    """A requested subset length lies outside [1, N]."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,10 +80,13 @@ class ScaledSet:
         object.__setattr__(self, "sorted_values", values)
         if not values:
             raise InputError("scaled set must contain at least one value")
+        for v in values:
+            if not _is_i64(v):
+                raise InputError(f"value {v!r} is not a 64-bit signed integer")
         if any(a > b for a, b in zip(values, values[1:])):
             raise InputError("sorted_values must be nondecreasing")
         expected = max(0, 1 - values[0])
-        if self.offset != expected:
+        if type(self.offset) is not int or self.offset != expected:
             raise InputError(f"offset {self.offset} differs from max(0, 1 - min) = {expected}")
         object.__setattr__(self, "scaled_values", tuple(v + self.offset for v in values))
 

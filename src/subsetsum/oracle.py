@@ -14,7 +14,7 @@ import math
 from itertools import combinations
 from operator import itemgetter
 
-from .model import CapacityError, IndexSubset, InputSet, OrderError, ScaledSet
+from .model import CapacityError, IndexSubset, InputError, InputSet, ScaledSet
 
 DP_CELL_CAP = 10**7
 BRUTE_FORCE_MAX_SIZE = 25
@@ -72,12 +72,13 @@ def enumerate_sorted_sums(s: ScaledSet, n: int | None = None) -> list[tuple[int,
 
     Entries are (scaled sum, subset) in nondecreasing sum order; ties keep
     generation order (increasing cardinality, then lexicographic indices).
-    This is the reference that rank selection is tested against. Refuses
-    more than ENUMERATION_CAP subsets.
+    This is the reference that rank selection is tested against. A length
+    outside [1, N] raises InputError; more than ENUMERATION_CAP subsets
+    raise CapacityError.
     """
     size = s.size
     if n is not None and not 1 <= n <= size:
-        raise OrderError(f"subset length {n} outside [1, {size}]")
+        raise InputError(f"subset length {n} outside [1, {size}]")
     total = math.comb(size, n) if n is not None else (1 << size) - 1
     if total > ENUMERATION_CAP:
         raise CapacityError(f"enumeration of {total} subsets exceeds cap {ENUMERATION_CAP}")

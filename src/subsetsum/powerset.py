@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 from typing import Callable
 
-from .model import IndexSubset, RankError, ScaledSet
+from .model import IndexSubset, InputError, ScaledSet
 
 
 def binheap_root(s: ScaledSet) -> IndexSubset:
@@ -92,10 +92,10 @@ class Frontier:
         not on how they are laid out.
 
         A rank past the end of the tree is detected only when the heap runs
-        dry, so it raises RankError after every node has been expanded.
+        dry, so it raises InputError after every node has been expanded.
         """
         if k < 1:
-            raise RankError(f"rank must be at least 1, got {k}")
+            raise InputError(f"rank must be at least 1, got {k}")
         popped = self._popped
         if k <= len(popped):
             return popped[k - 1]
@@ -104,7 +104,7 @@ class Frontier:
         heappush, heapreplace, heappop = heapq.heappush, heapq.heapreplace, heapq.heappop
         for _ in range(k - len(popped)):
             if not heap:
-                raise RankError(f"rank {k} exceeds the {len(popped)} subsets in this tree")
+                raise InputError(f"rank {k} exceeds the {len(popped)} subsets in this tree")
             node = nodes[heap[0] & _SEQ_MASK]
             children = iter(expand(node))
             popped.append(node)

@@ -17,13 +17,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .model import IndexSubset, OrderError, ScaledSet
+from .model import IndexSubset, InputError, ScaledSet
 from .powerset import Frontier
 
 
 @dataclass(frozen=True, slots=True)
 class SubsetTree:
-    """The implicit tree of all C(N, n) length-n subsets over a scaled set."""
+    """The implicit tree of all C(N, n) length-n subsets over a scaled set.
+
+    A length n outside [1, N] raises InputError.
+    """
 
     scaled: ScaledSet
     n: int
@@ -31,14 +34,14 @@ class SubsetTree:
 
     def __post_init__(self) -> None:
         if not 1 <= self.n <= self.scaled.size:
-            raise OrderError(f"subset length {self.n} outside [1, {self.scaled.size}]")
+            raise InputError(f"subset length {self.n} outside [1, {self.scaled.size}]")
         object.__setattr__(self, "total", math.comb(self.scaled.size, self.n))
 
 
 def subtree_root(s: ScaledSet, n: int) -> IndexSubset:
     """Root node: the n smallest elements, free to advance any position."""
     if not 1 <= n <= s.size:
-        raise OrderError(f"subset length {n} outside [1, {s.size}]")
+        raise InputError(f"subset length {n} outside [1, {s.size}]")
     return IndexSubset(tuple(range(n)), sum(s.scaled_values[:n]))
 
 

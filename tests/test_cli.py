@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from subsetsum import InputError, InputSet
+from subsetsum import CapacityError, InputError, InputSet
 from subsetsum.cli import main, parse_instance_line
 
 
@@ -290,6 +290,17 @@ class TestSelftestCommand:
         code, out, _ = run(capsys, "selftest", "--max-n", "5", "--instances", "200")
         assert code == 1
         assert "FAIL solver-vs-dp" in out
+
+    def test_capacity_error_exits_two(self, capsys, monkeypatch):
+        import subsetsum.cli as cli_module
+
+        def over_cap(instance):
+            raise CapacityError("decision table needs 99 cells per row, cap is 1")
+
+        monkeypatch.setattr(cli_module, "dp_decision", over_cap)
+        code, _, err = run(capsys, "selftest", "--max-n", "3", "--instances", "5")
+        assert code == 2
+        assert err.startswith("error: decision table")
 
     @pytest.mark.parametrize(
         "generator, suite",

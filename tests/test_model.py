@@ -65,6 +65,15 @@ class TestScaledSet:
         with pytest.raises(InputError):
             ScaledSet((2, 5), 1)
 
+    @pytest.mark.parametrize(
+        "values, offset",
+        [((1.5, 2.5), 0), ((True, 2), 0), ((1, 2**63), 0), ((1, "2"), 0), ((1, 2), 0.0)],
+        ids=["float", "bool", "past-i64", "str", "float-offset"],
+    )
+    def test_rejects_non_integer_values(self, values, offset):
+        with pytest.raises(InputError):
+            ScaledSet(values, offset)
+
     def test_scaled_accessor(self):
         s = ScaledSet((-7, -3, -2, 5, 8), 8)
         assert [s.scaled_values[i] for i in range(s.size)] == [1, 5, 6, 13, 16]

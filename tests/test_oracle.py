@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from subsetsum import (
     CapacityError,
+    InputError,
     InputSet,
-    OrderError,
     ScaledSet,
     brute_force_solve,
     dp_decision,
@@ -82,7 +82,7 @@ class TestEnumerateSortedSums:
         assert entries[0][1].indices == (0, 1, 2)
 
     def test_order_out_of_range(self):
-        with pytest.raises(OrderError):
+        with pytest.raises(InputError, match="subset length"):
             enumerate_sorted_sums(ScaledSet((1, 2), 0), 3)
 
     def test_enumeration_cap(self):

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subsetsum import (
+    InputError,
     InputSet,
-    RankError,
     ScaledSet,
     binheap_children,
     binheap_frontier,
@@ -69,7 +69,7 @@ class TestKthSmallest:
 
     @pytest.mark.parametrize("k", [0, -1, 8])
     def test_rank_out_of_range(self, k):
-        with pytest.raises(RankError):
+        with pytest.raises(InputError, match="rank"):
             binheap_frontier(ScaledSet((2, 5, 7), 0)).select(k)
 
     def test_ties_are_deterministic(self):

@@ -15,7 +15,7 @@ import pytest
 from subsetsum import (
     Frontier,
     IndexSubset,
-    RankError,
+    InputError,
     ScaledSet,
     SubsetTree,
     binheap_children,
@@ -205,5 +205,5 @@ def test_pop_order_on_sums_the_solver_never_produces(pool, seed):
     got = [frontier.select(k) for k in range(1, size + 1)]
     assert got == [reference.select(k) for k in range(1, size + 1)]
     assert frontier.nodes_expanded == len(reference.popped) == size
-    with pytest.raises(RankError):
+    with pytest.raises(InputError, match="rank"):
         frontier.select(size + 1)

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subsetsum import (
-    OrderError,
-    RankError,
+    InputError,
     ScaledSet,
     SubsetTree,
     enumerate_sorted_sums,
@@ -40,9 +39,9 @@ class TestRoot:
 
     @pytest.mark.parametrize("n", [0, -2, 7])
     def test_order_out_of_range(self, n):
-        with pytest.raises(OrderError):
+        with pytest.raises(InputError, match="subset length"):
             subtree_root(ScaledSet((1, 2, 3, 4, 5, 6), 0), n)
-        with pytest.raises(OrderError):
+        with pytest.raises(InputError, match="subset length"):
             SubsetTree(ScaledSet((1, 2, 3, 4, 5, 6), 0), n)
 
 
@@ -99,7 +98,7 @@ class TestKthSmallest:
     @pytest.mark.parametrize("k", [0, -1, 11])
     def test_rank_out_of_range(self, k):
         tree = SubsetTree(ScaledSet((1, 5, 6, 13, 16), 0), 3)
-        with pytest.raises(RankError):
+        with pytest.raises(InputError, match="rank"):
             subtree_frontier(tree).select(k)
 
 
