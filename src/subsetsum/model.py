@@ -8,9 +8,13 @@ are stored as strictly increasing index tuples into the sorted sequence,
 which keeps duplicate values distinct and makes "advance to the next
 element" well defined. Input values and targets are 64-bit signed
 integers, but scaled values and subset sums are Python ints and may
-exceed 64 bits. An IndexSubset is also the node type of both heap-ordered
-trees: it carries the one piece of tree state the fixed-length tree needs,
-the lowest position a node's children may advance.
+exceed 64 bits. An IndexSubset is also the public view of a node of
+either heap-ordered tree: it carries the one piece of tree state the
+fixed-length tree needs, the lowest position a node's children may
+advance. The solver itself holds a node as a plain int code (the bit mask
+of its indices, plus the lowest index its children may advance in the
+fixed-length tree) with the sum kept in the frontier's heap key, and
+decodes a code to an IndexSubset only at a rank the search probes.
 
 All types here are immutable after construction and safe to share across
 concurrent searches.
@@ -98,10 +102,10 @@ class ScaledSet:
 class IndexSubset(NamedTuple):
     """A subset as strictly increasing indices into a scaled set, plus its scaled sum.
 
-    As a node of the fixed-length subset tree, min_modified_pos is the
-    position the node itself advanced from its parent (0 for the root); its
-    children advance only positions at or above it. Power-set tree nodes and
-    free-standing subsets leave it at 0.
+    As the view of a node of the fixed-length subset tree, min_modified_pos
+    is the position the node itself advanced from its parent (0 for the
+    root); its children advance only positions at or above it. Power-set
+    tree nodes and free-standing subsets leave it at 0.
     """
 
     indices: tuple[int, ...]

@@ -1,20 +1,71 @@
 """Lazy enumeration of all nonempty subsets of a positive set in sum order.
 
-The subsets form an implicit binary tree whose nodes are IndexSubsets: the
-root is the singleton holding the smallest element; a node's left child
-replaces the subset's maximum element with the next one in sorted order, and
-its right child appends that next element instead. With strictly positive values both moves can only
+The subsets form an implicit binary tree: the root is the singleton holding
+the smallest element; a node's left child replaces the subset's maximum
+element with the next one in sorted order, and its right child appends that
+next element instead. With strictly positive values both moves can only
 grow the sum, so best-first expansion pops subsets in nondecreasing sum
 order and selecting rank k touches O(k) nodes. A binary search over ranks
 then locates a target sum without materializing the power set.
+
+On the solver's path a node of this tree is the int bit mask of its
+indices, and its sum lives only in the frontier's heap key; binheap_root and
+binheap_children are the IndexSubset view of the same tree.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable
+from typing import Callable, Sequence
 
 from .model import IndexSubset, InputError, ScaledSet
+
+# A rule maps a node's code and sum to its children, flattened as
+# [sum, code, sum, code, ...] in push order; a decoder maps a code and its
+# sum to the IndexSubset the code stands for.
+_Rule = Callable[[int, int], list[int]]
+_Decode = Callable[[int, int], IndexSubset]
+
+
+def _mask_of(indices: Sequence[int]) -> int:
+    """The bit mask with one bit set per index."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
+
+
+def _indices_of(mask: int) -> tuple[int, ...]:
+    """The set bits of a mask, ascending."""
+    indices = []
+    while mask:
+        low = mask & -mask
+        indices.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(indices)
+
+
+def _binheap_rule(scaled: Sequence[int]) -> _Rule:
+    """The power-set tree's child rule over masks: left child, then right.
+
+    The left child moves the top bit up by one, the right child adds the bit
+    above it; a node whose top bit is the last index has no children.
+    """
+    size = len(scaled)
+
+    def children(mask: int, total: int) -> list[int]:
+        top = mask.bit_length() - 1
+        nxt = top + 1
+        if nxt >= size:
+            return []
+        step = scaled[nxt]
+        return [total - scaled[top] + step, mask ^ 1 << top | 1 << nxt, total + step, mask | 1 << nxt]
+
+    return children
+
+
+def _binheap_decode(mask: int, total: int) -> IndexSubset:
+    return IndexSubset(_indices_of(mask), total)
 
 
 def binheap_root(s: ScaledSet) -> IndexSubset:
@@ -28,25 +79,16 @@ def binheap_children(node: IndexSubset, s: ScaledSet) -> list[IndexSubset]:
     The left child replaces the maximum element with its successor in the
     sorted set; the right child appends the successor. Both sums are >= the
     node's sum. A node whose maximum element is the last one has no children.
+    This view encodes the node, runs the solver's mask rule and decodes.
     """
-    indices, total, _ = node
-    scaled = s.scaled_values
-    top = indices[-1]
-    nxt = top + 1
-    if nxt >= len(scaled):
-        return []
-    step = scaled[nxt]
-    # tuple.__new__ skips the NamedTuple's Python-level __new__ on this hot path.
-    return [
-        tuple.__new__(IndexSubset, (indices[:-1] + (nxt,), total - scaled[top] + step, 0)),
-        tuple.__new__(IndexSubset, (indices + (nxt,), total + step, 0)),
-    ]
+    kids = _binheap_rule(s.scaled_values)(_mask_of(node.indices), node.cached_sum)
+    return [_binheap_decode(kids[j + 1], kids[j]) for j in range(0, len(kids), 2)]
 
 
-# A heap key is cached_sum << _SEQ_SHIFT | seq, where seq is the node's index in
-# Frontier._nodes. That list holds a live 8-byte pointer for every seq handed out,
-# each to a node of at least 64 bytes, so on a 64-bit machine seq stays below
-# 2**58 (2**61 from the pointers alone) and never reaches the sum's bits.
+# A heap key is sum << _SEQ_SHIFT | seq, where seq is the node's index in
+# Frontier._codes. That list holds a live 8-byte pointer for every seq handed
+# out, so on a 64-bit machine seq stays below 2**61 and never reaches the
+# sum's bits.
 _SEQ_SHIFT = 64
 _SEQ_MASK = (1 << _SEQ_SHIFT) - 1
 
@@ -59,23 +101,46 @@ class Frontier:
     are memoized, letting one binary search probe ranks in any order and
     resume expansion instead of restarting it.
 
-    Every node pushed is appended to a list, so its position there is its
-    sequence number: the root is 0 and each child gets the next one. The
-    heap holds one integer key per pending node, cached_sum << 64 | seq.
-    Keys order first by sum, for any integer sum, negative or wider than
-    64 bits, and then by seq, so equal sums pop in insertion order. No
-    sequence number can reach 2**64, because each one indexes a list that
-    is held in memory at the same time.
+    A node is held as a code: on the solver's path a plain int (see
+    subtree_frontier and binheap_frontier), so an expanded node allocates
+    no object the garbage collector tracks. Every code pushed is appended
+    to a list, so its position there is its sequence number: the root is 0
+    and each child gets the next one. The heap holds one integer key per
+    pending node, sum << 64 | seq, and the memo holds the keys of the
+    popped nodes. Keys order first by sum, for any integer sum, negative or
+    wider than 64 bits, and then by seq, so equal sums pop in insertion
+    order. The list keeps one 8-byte pointer per code, so seq < 2**61 and
+    never reaches the sum's bits. A code becomes an IndexSubset only when
+    select returns its rank.
+
+    Frontier(root, expand) runs the same loop over IndexSubset nodes: each
+    node is its own code, and select returns the very objects expand gave.
 
     A Frontier is single-owner mutable state: concurrent searches over the
     same scaled set must each build their own.
     """
 
     def __init__(self, root: IndexSubset, expand: Callable[[IndexSubset], list[IndexSubset]]) -> None:
-        self._expand = expand
-        self._nodes: list[IndexSubset] = [root]
-        self._heap: list[int] = [root.cached_sum << _SEQ_SHIFT]
-        self._popped: list[IndexSubset] = []
+        def rule(node: IndexSubset, _: int) -> list:
+            kids: list = []
+            for child in expand(node):
+                kids += child.cached_sum, child
+            return kids
+
+        self._start(root, root.cached_sum, rule, lambda node, _: node, None)
+
+    @classmethod
+    def _coded(cls, code: int, total: int, rule: _Rule, decode: _Decode, size: int) -> Frontier:
+        """A frontier over int codes of a tree of size subsets; decode(code, sum) gives the subset."""
+        frontier = cls.__new__(cls)
+        frontier._start(code, total, rule, decode, size)
+        return frontier
+
+    def _start(self, code: object, total: int, rule: Callable, decode: Callable, size: int | None) -> None:
+        self._rule, self._decode, self._size = rule, decode, size
+        self._codes = [code]
+        self._heap: list[int] = [total << _SEQ_SHIFT]
+        self._popped: list[int] = []
 
     @property
     def nodes_expanded(self) -> int:
@@ -89,40 +154,43 @@ class Frontier:
         that raises leaves the frontier as it was and a later call resumes.
         Its first child then replaces it at the top in one sift. The keys
         are unique, so the pop order depends only on the heap's contents,
-        not on how they are laid out.
+        not on how they are laid out. Only the returned rank is decoded.
 
-        A rank past the end of the tree is detected only when the heap runs
-        dry, so it raises InputError after every node has been expanded.
+        A rank past the end of a tree frontier raises InputError before any
+        node is expanded. Frontier(root, expand) does not know its tree's
+        size, so there the rank is found past the end only when the heap
+        runs dry, after every node has been expanded.
         """
         if k < 1:
             raise InputError(f"rank must be at least 1, got {k}")
-        popped = self._popped
-        if k <= len(popped):
-            return popped[k - 1]
-        heap, nodes = self._heap, self._nodes
-        expand = self._expand
-        heappush, heapreplace, heappop = heapq.heappush, heapq.heapreplace, heapq.heappop
-        for _ in range(k - len(popped)):
-            if not heap:
-                raise InputError(f"rank {k} exceeds the {len(popped)} subsets in this tree")
-            node = nodes[heap[0] & _SEQ_MASK]
-            children = iter(expand(node))
-            popped.append(node)
-            child = next(children, None)
-            if child is None:
-                heappop(heap)
-                continue
-            heapreplace(heap, child.cached_sum << _SEQ_SHIFT | len(nodes))
-            nodes.append(child)
-            for child in children:
-                heappush(heap, child.cached_sum << _SEQ_SHIFT | len(nodes))
-                nodes.append(child)
-        return popped[k - 1]
+        if self._size is not None and k > self._size:
+            raise InputError(f"rank {k} exceeds the {self._size} subsets in this tree")
+        popped, codes = self._popped, self._codes
+        if k > len(popped):
+            heap, rule = self._heap, self._rule
+            heappush, heapreplace, heappop = heapq.heappush, heapq.heapreplace, heapq.heappop
+            for _ in range(k - len(popped)):
+                if not heap:
+                    raise InputError(f"rank {k} exceeds the {len(popped)} subsets in this tree")
+                key = heap[0]
+                kids = rule(codes[key & _SEQ_MASK], key >> _SEQ_SHIFT)
+                popped.append(key)
+                if not kids:
+                    heappop(heap)
+                    continue
+                heapreplace(heap, kids[0] << _SEQ_SHIFT | len(codes))
+                codes.append(kids[1])
+                for j in range(2, len(kids), 2):
+                    heappush(heap, kids[j] << _SEQ_SHIFT | len(codes))
+                    codes.append(kids[j + 1])
+        key = popped[k - 1]
+        return self._decode(codes[key & _SEQ_MASK], key >> _SEQ_SHIFT)
 
 
 def binheap_frontier(s: ScaledSet) -> Frontier:
     """Fresh expansion state over the tree of all nonempty subsets of s."""
-    return Frontier(binheap_root(s), lambda node: binheap_children(node, s))
+    root = 1  # the mask of {0}
+    return Frontier._coded(root, s.scaled_values[0], _binheap_rule(s.scaled_values), _binheap_decode, (1 << s.size) - 1)
 
 
 def lower_bound_rank_search(

@@ -1,24 +1,31 @@
 """Lazy heap-ordered enumeration of all subsets of one fixed length.
 
-Nodes are length-n IndexSubsets. A child advances one chosen position of
-the parent's subset to the next index; when that index is already occupied
-the occupant is bumped to its own next index, cascading rightward until the
-run of conflicts ends, and the child is dropped if any bump would run past
-the end of the set. Children are only generated at positions >= the
-position the parent itself advanced (its min_modified_pos), which is what
-makes every length-n subset appear exactly once; the exhaustive
-completeness checks in checks.py are the binding contract for that rule.
-Sums never decrease along an edge, so best-first expansion yields length-n
-subsets in nondecreasing sum order.
+A child advances one chosen position of the parent's subset to the next
+index; when that index is already occupied the occupant is bumped to its
+own next index, cascading rightward until the run of conflicts ends, and
+the child is dropped if any bump would run past the end of the set.
+Children are only generated at positions >= the position the parent itself
+advanced (its min_modified_pos), which is what makes every length-n subset
+appear exactly once; the exhaustive completeness checks in checks.py are
+the binding contract for that rule. Sums never decrease along an edge, so
+best-first expansion yields length-n subsets in nondecreasing sum order.
+
+On the solver's path a node is the int code mask << width | min_index: the
+bit mask of its indices, and the lowest index its children may advance,
+which is the index at min_modified_pos. The field width is
+size.bit_length() bits, so it holds any index of the set. The node's sum
+lives only in the frontier's heap key. subtree_root and subtree_children
+are the IndexSubset view of the same tree.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 from .model import IndexSubset, InputError, ScaledSet
-from .powerset import Frontier
+from .powerset import Frontier, _Decode, _indices_of, _mask_of, _Rule
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,6 +43,50 @@ class SubsetTree:
         if not 1 <= self.n <= self.scaled.size:
             raise InputError(f"subset length {self.n} outside [1, {self.scaled.size}]")
         object.__setattr__(self, "total", math.comb(self.scaled.size, self.n))
+
+
+def _subtree_codec(scaled: Sequence[int]) -> tuple[Callable[[Sequence[int], int], int], _Rule, _Decode]:
+    """The coded fixed-length tree over scaled: (encode, children, decode).
+
+    encode(indices, min_index) packs a node as mask << width | min_index,
+    where width = size.bit_length() holds any index and size itself.
+    children is the one child rule, in descending bit order. Advancing the
+    run of consecutive set bits that starts at bit i clears bit i and sets
+    the bit just past the run: the child's mask is mask ^ 1 << i | 1 << past,
+    its sum gains scaled[past] - scaled[i], and its min_index is i + 1. Only
+    bits at or above the node's min_index advance, and a run that already
+    ends on the last index has no child. decode(code, sum) gives the
+    IndexSubset, whose min_modified_pos counts the set bits below min_index.
+    """
+    size = len(scaled)
+    width = size.bit_length()
+    low = (1 << width) - 1
+
+    def encode(indices: Sequence[int], min_index: int) -> int:
+        return _mask_of(indices) << width | min_index
+
+    def children(code: int, total: int) -> list[int]:
+        mask = code >> width
+        start = code & low
+        bits = mask >> start << start
+        kids: list[int] = []
+        after = -1  # the bit visited before i; -1 before the first, where no run continues
+        while bits:
+            i = bits.bit_length() - 1
+            bits ^= 1 << i
+            if after != i + 1:
+                past = i + 1  # the index just past the run that starts at i
+            after = i
+            if past < size:
+                kids.append(total + scaled[past] - scaled[i])
+                kids.append((mask ^ 1 << i | 1 << past) << width | i + 1)
+        return kids
+
+    def decode(code: int, total: int) -> IndexSubset:
+        mask = code >> width
+        return IndexSubset(_indices_of(mask), total, (mask & (1 << (code & low)) - 1).bit_count())
+
+    return encode, children, decode
 
 
 def subtree_root(s: ScaledSet, n: int) -> IndexSubset:
@@ -56,27 +107,16 @@ def subtree_children(node: IndexSubset, tree: SubsetTree) -> list[IndexSubset]:
     starts there by one index, so the child differs from its parent only in
     that run: the sum gains the value just past the run and loses the run's
     first value. A run that already ends on the last index has no child.
+    This view encodes the node, runs the solver's code rule and decodes.
     """
-    base, base_sum, min_pos = node
-    scaled = tree.scaled.scaled_values
-    size = len(scaled)
-    children: list[IndexSubset] = []
-    after = -1  # base[pos + 1]; -1 past the last slot, where no run continues
-    for pos in range(len(base) - 1, min_pos - 1, -1):
-        first = base[pos]
-        if after != first + 1:
-            end = pos  # the run starting at pos ends at slot end
-            past = first + 1  # the index just past the run
-        after = first
-        if past < size:
-            run = (past,) if end == pos else tuple(range(first + 1, past + 1))
-            # tuple.__new__ skips the NamedTuple's Python-level __new__ on this hot path.
-            children.append(tuple.__new__(
-                IndexSubset, (base[:pos] + run + base[end + 1:], base_sum + scaled[past] - scaled[first], pos)
-            ))
-    return children
+    base, total, min_pos = node
+    encode, children, decode = _subtree_codec(tree.scaled.scaled_values)
+    kids = children(encode(base, base[min_pos] if min_pos < len(base) else tree.scaled.size), total)
+    return [decode(kids[j + 1], kids[j]) for j in range(0, len(kids), 2)]
 
 
 def subtree_frontier(tree: SubsetTree) -> Frontier:
     """Fresh expansion state over the fixed-length subset tree."""
-    return Frontier(subtree_root(tree.scaled, tree.n), lambda node: subtree_children(node, tree))
+    scaled = tree.scaled.scaled_values
+    encode, children, decode = _subtree_codec(scaled)
+    return Frontier._coded(encode(range(tree.n), 0), sum(scaled[: tree.n]), children, decode, tree.total)

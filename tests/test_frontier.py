@@ -1,0 +1,115 @@
+"""The solver's integer-coded frontiers against the IndexSubset view.
+
+subtree_frontier and binheap_frontier hold each node as a plain int and
+decode only the ranks select returns. Frontier(root, expand) over the
+public views subtree_children/binheap_children runs the same loop over
+IndexSubset nodes. Both must give the same subset, sum and
+min_modified_pos at every rank, and a coded frontier must hold no tracked
+object per expanded node.
+"""
+
+import gc
+import math
+import random
+from functools import partial
+
+import pytest
+
+from subsetsum import (
+    Frontier,
+    InputError,
+    InputSet,
+    ScaledSet,
+    SubsetTree,
+    binheap_children,
+    binheap_frontier,
+    binheap_root,
+    normalize,
+    solve,
+    subtree_children,
+    subtree_frontier,
+    subtree_root,
+)
+
+
+def _frontier_pairs(s):
+    """(coded, viewed, subsets) for every fixed-length tree of s and its power-set tree."""
+    for n in range(1, s.size + 1):
+        tree = SubsetTree(s, n)
+        viewed = Frontier(subtree_root(s, n), partial(subtree_children, tree=tree))
+        yield subtree_frontier(tree), viewed, tree.total
+    yield binheap_frontier(s), Frontier(binheap_root(s), partial(binheap_children, s=s)), (1 << s.size) - 1
+
+
+def _assert_agree(coded, viewed, ranks):
+    for k in ranks:
+        got, expected = coded.select(k), viewed.select(k)
+        assert (got.indices, got.cached_sum, got.min_modified_pos) == (
+            expected.indices, expected.cached_sum, expected.min_modified_pos
+        ), k
+    assert coded.nodes_expanded == viewed.nodes_expanded
+
+
+def _random_sets():
+    rng = random.Random(9)
+    for _ in range(40):
+        yield tuple(rng.randint(-20, 20) for _ in range(rng.randint(1, 10)))
+
+
+@pytest.mark.parametrize(
+    "values", [(3,) * 8, (1, 1, 2, 2, 2, 3, 3, 4), *_random_sets()], ids=str
+)
+def test_coded_and_view_frontiers_agree_at_every_rank(values):
+    s = normalize(InputSet(values, 0))
+    for coded, viewed, total in _frontier_pairs(s):
+        _assert_agree(coded, viewed, range(1, total + 1))
+
+
+def test_coded_pairs_agree_past_eight_bit_indices():
+    # Two small values, then 298 large ones: every pair holding index 0 or 1
+    # sums below the rest, so the first 600 ranks reach indices up to 299.
+    s = ScaledSet((1, 2) + tuple(range(10**9, 10**9 + 298)), 0)
+    tree = SubsetTree(s, 2)
+    coded = subtree_frontier(tree)
+    viewed = Frontier(subtree_root(s, 2), partial(subtree_children, tree=tree))
+    _assert_agree(coded, viewed, range(1, 3001))
+    # Every pair at most once, in sum order: a min_index that overflows its
+    # field lets a node advance bits below it and so repeat a pair.
+    pairs = [coded.select(k) for k in range(1, 3001)]
+    scaled = s.scaled_values
+    assert len({p.indices for p in pairs}) == 3000
+    assert all(p.cached_sum == scaled[p.indices[0]] + scaled[p.indices[1]] for p in pairs)
+    every = sorted(a + b for i, a in enumerate(scaled) for b in scaled[i + 1:])
+    assert [p.cached_sum for p in pairs] == every[:3000]
+
+
+def test_solve_finds_planted_pair_among_300_values():
+    values = random.Random(5).sample(range(1, 10**9), 300)
+    pair = (values[17], values[281])
+    outcome = solve(InputSet(tuple(values), sum(pair)))
+    assert outcome.subset == tuple(sorted(pair))
+
+
+def test_rank_past_the_end_raises_before_any_expansion():
+    s = ScaledSet(tuple(range(1, 18)), 0)
+    frontier = binheap_frontier(s)
+    with pytest.raises(InputError, match=r"^rank 131072 exceeds the 131071 subsets in this tree$"):
+        frontier.select(2**17)
+    assert frontier.nodes_expanded == 0
+    frontier = subtree_frontier(SubsetTree(s, 8))
+    total = math.comb(17, 8)
+    with pytest.raises(InputError, match=rf"^rank {total + 1} exceeds the {total} subsets in this tree$"):
+        frontier.select(total + 1)
+    assert frontier.nodes_expanded == 0
+
+
+def test_expanded_nodes_hold_no_tracked_objects():
+    tree = SubsetTree(normalize(InputSet(tuple(range(1, 15)), 0)), 7)
+    gc.collect()
+    before = len(gc.get_objects())
+    frontier = subtree_frontier(tree)
+    frontier.select(tree.total)
+    gc.collect()
+    grown = len(gc.get_objects()) - before
+    assert frontier.nodes_expanded == tree.total == 3432
+    assert grown < 50
