@@ -11,10 +11,7 @@ integers, but scaled values and subset sums are Python ints and may
 exceed 64 bits. An IndexSubset is also the public view of a node of
 either heap-ordered tree: it carries the one piece of tree state the
 fixed-length tree needs, the lowest position a node's children may
-advance. The solver itself holds a node as a plain int code (the bit mask
-of its indices, plus the lowest index its children may advance in the
-fixed-length tree) with the sum kept in the frontier's heap key, and
-decodes a code to an IndexSubset only at a rank the search probes.
+advance.
 
 All types here are immutable after construction and safe to share across
 concurrent searches.
@@ -23,7 +20,7 @@ concurrent searches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 I64_MIN = -(2**63)
 I64_MAX = 2**63 - 1
@@ -33,8 +30,8 @@ class InputError(ValueError):
     """An argument violates the input contract.
 
     That covers input values and targets that are not 64-bit signed
-    integers, a malformed scaled set or index subset, a subset length
-    outside [1, N], and a rank outside [1, tree size].
+    integers, a malformed scaled set, a subset length that is not an int
+    in [1, N], and a rank that is not an int in [1, tree size].
     """
 
 
@@ -59,6 +56,12 @@ class InputSet:
                 raise InputError(f"value {v!r} is not a 64-bit signed integer")
         if not _is_i64(self.target):
             raise InputError(f"target {self.target!r} is not a 64-bit signed integer")
+
+
+def _check_length(n: object, size: int) -> None:
+    """Refuse a subset length that is not an int in [1, size]; bool is not a length."""
+    if not (type(n) is int and 1 <= n <= size):
+        raise InputError(f"subset length must be an int in [1, {size}], got {n!r}")
 
 
 def _is_i64(v: object) -> bool:
@@ -116,16 +119,6 @@ class IndexSubset(NamedTuple):
     def subset(self) -> "IndexSubset":
         """The node's subset: the node itself, for code that reads node.subset."""
         return self
-
-    @classmethod
-    def from_indices(cls, indices: Sequence[int], s: ScaledSet) -> "IndexSubset":
-        """Build a subset from raw indices, computing and caching its scaled sum."""
-        idx = tuple(indices)
-        if any(a >= b for a, b in zip(idx, idx[1:])):
-            raise InputError(f"indices must be strictly increasing, got {idx}")
-        if idx and not (0 <= idx[0] and idx[-1] < s.size):
-            raise InputError(f"indices {idx} out of range for a set of {s.size} values")
-        return cls(idx, sum(s.scaled_values[i] for i in idx))
 
 
 def normalize(input_set: InputSet) -> ScaledSet:

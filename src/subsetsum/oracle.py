@@ -14,7 +14,7 @@ import math
 from itertools import combinations
 from operator import itemgetter
 
-from .model import CapacityError, IndexSubset, InputError, InputSet, ScaledSet
+from .model import CapacityError, IndexSubset, InputSet, ScaledSet, _check_length
 
 DP_CELL_CAP = 10**7
 BRUTE_FORCE_MAX_SIZE = 25
@@ -73,12 +73,12 @@ def enumerate_sorted_sums(s: ScaledSet, n: int | None = None) -> list[tuple[int,
     Entries are (scaled sum, subset) in nondecreasing sum order; ties keep
     generation order (increasing cardinality, then lexicographic indices).
     This is the reference that rank selection is tested against. A length
-    outside [1, N] raises InputError; more than ENUMERATION_CAP subsets
-    raise CapacityError.
+    that is not an int in [1, N] raises InputError; more than
+    ENUMERATION_CAP subsets raise CapacityError.
     """
     size = s.size
-    if n is not None and not 1 <= n <= size:
-        raise InputError(f"subset length {n} outside [1, {size}]")
+    if n is not None:
+        _check_length(n, size)
     total = math.comb(size, n) if n is not None else (1 << size) - 1
     if total > ENUMERATION_CAP:
         raise CapacityError(f"enumeration of {total} subsets exceeds cap {ENUMERATION_CAP}")

@@ -8,9 +8,8 @@ grow the sum, so best-first expansion pops subsets in nondecreasing sum
 order and selecting rank k touches O(k) nodes. A binary search over ranks
 then locates a target sum without materializing the power set.
 
-On the solver's path a node of this tree is the int bit mask of its
-indices, and its sum lives only in the frontier's heap key; binheap_root and
-binheap_children are the IndexSubset view of the same tree.
+binheap_frontier runs this tree over int codes (see _binheap_rule);
+binheap_root and binheap_children are its IndexSubset view.
 """
 
 from __future__ import annotations
@@ -46,10 +45,11 @@ def _indices_of(mask: int) -> tuple[int, ...]:
 
 
 def _binheap_rule(scaled: Sequence[int]) -> _Rule:
-    """The power-set tree's child rule over masks: left child, then right.
+    """The power-set tree's child rule over int codes: left child, then right.
 
-    The left child moves the top bit up by one, the right child adds the bit
-    above it; a node whose top bit is the last index has no children.
+    A node's code is the bit mask of its indices. The left child moves the
+    top bit up by one, the right child adds the bit above it; a node whose
+    top bit is the last index has no children.
     """
     size = len(scaled)
 
@@ -85,10 +85,7 @@ def binheap_children(node: IndexSubset, s: ScaledSet) -> list[IndexSubset]:
     return [_binheap_decode(kids[j + 1], kids[j]) for j in range(0, len(kids), 2)]
 
 
-# A heap key is sum << _SEQ_SHIFT | seq, where seq is the node's index in
-# Frontier._codes. That list holds a live 8-byte pointer for every seq handed
-# out, so on a 64-bit machine seq stays below 2**61 and never reaches the
-# sum's bits.
+# The layout of a heap key; Frontier describes it.
 _SEQ_SHIFT = 64
 _SEQ_MASK = (1 << _SEQ_SHIFT) - 1
 
@@ -156,33 +153,32 @@ class Frontier:
         are unique, so the pop order depends only on the heap's contents,
         not on how they are laid out. Only the returned rank is decoded.
 
-        A rank past the end of a tree frontier raises InputError before any
-        node is expanded. Frontier(root, expand) does not know its tree's
-        size, so there the rank is found past the end only when the heap
-        runs dry, after every node has been expanded.
+        A rank that is not an int of at least 1, or past the end of a tree
+        frontier, raises InputError before any node is expanded.
+        Frontier(root, expand) does not know its tree's size, so there the
+        rank is found past the end only when the heap runs dry, after every
+        node has been expanded.
         """
-        if k < 1:
-            raise InputError(f"rank must be at least 1, got {k}")
+        if type(k) is not int or k < 1:
+            raise InputError(f"rank must be an int of at least 1, got {k!r}")
         if self._size is not None and k > self._size:
             raise InputError(f"rank {k} exceeds the {self._size} subsets in this tree")
-        popped, codes = self._popped, self._codes
-        if k > len(popped):
-            heap, rule = self._heap, self._rule
-            heappush, heapreplace, heappop = heapq.heappush, heapq.heapreplace, heapq.heappop
-            for _ in range(k - len(popped)):
-                if not heap:
-                    raise InputError(f"rank {k} exceeds the {len(popped)} subsets in this tree")
-                key = heap[0]
-                kids = rule(codes[key & _SEQ_MASK], key >> _SEQ_SHIFT)
-                popped.append(key)
-                if not kids:
-                    heappop(heap)
-                    continue
-                heapreplace(heap, kids[0] << _SEQ_SHIFT | len(codes))
-                codes.append(kids[1])
-                for j in range(2, len(kids), 2):
-                    heappush(heap, kids[j] << _SEQ_SHIFT | len(codes))
-                    codes.append(kids[j + 1])
+        popped, codes, heap, rule = self._popped, self._codes, self._heap, self._rule
+        heappush, heapreplace, heappop = heapq.heappush, heapq.heapreplace, heapq.heappop
+        for _ in range(k - len(popped)):
+            if not heap:
+                raise InputError(f"rank {k} exceeds the {len(popped)} subsets in this tree")
+            key = heap[0]
+            kids = rule(codes[key & _SEQ_MASK], key >> _SEQ_SHIFT)
+            popped.append(key)
+            if not kids:
+                heappop(heap)
+                continue
+            heapreplace(heap, kids[0] << _SEQ_SHIFT | len(codes))
+            codes.append(kids[1])
+            for j in range(2, len(kids), 2):
+                heappush(heap, kids[j] << _SEQ_SHIFT | len(codes))
+                codes.append(kids[j + 1])
         key = popped[k - 1]
         return self._decode(codes[key & _SEQ_MASK], key >> _SEQ_SHIFT)
 

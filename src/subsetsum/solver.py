@@ -76,12 +76,10 @@ class SolveOutcome:
         return self.subset is not None
 
 
-def _rank_search(
-    frontier: Frontier, total: int, order: int, scaled_target: int
-) -> tuple[IndexSubset | None, OrderTrace]:
-    """Binary-search one tree's ranks for scaled_target; returns the match and the record."""
+def _rank_search(frontier: Frontier, order: int, scaled_target: int) -> tuple[IndexSubset | None, OrderTrace]:
+    """Binary-search every rank of a coded frontier for scaled_target; returns the match and the record."""
     ranks: list[int] = []
-    found, _ = lower_bound_rank_search(frontier, total, scaled_target, ranks)
+    found, _ = lower_bound_rank_search(frontier, frontier._size, scaled_target, ranks)
     return found, OrderTrace(order, scaled_target, tuple(ranks), found is not None, frontier.nodes_expanded)
 
 
@@ -135,8 +133,7 @@ def solve(
         if range_check and not sum(s.scaled_values[:order]) <= scaled_target <= sum(s.scaled_values[-order:]):
             orders.append(OrderTrace(order, scaled_target, (), False, 0))
             continue
-        tree = SubsetTree(s, order)
-        found, record = _rank_search(subtree_frontier(tree), tree.total, order, scaled_target)
+        found, record = _rank_search(subtree_frontier(SubsetTree(s, order)), order, scaled_target)
         orders.append(record)
         if found is not None:
             break
@@ -160,5 +157,5 @@ def solve_positive(input_set: InputSet, trace: list[OrderTrace] | None = None) -
         raise InputError("solve_positive needs strictly positive values; use solve instead")
     started = time.perf_counter_ns()
     s = normalize(input_set)
-    found, record = _rank_search(binheap_frontier(s), (1 << s.size) - 1, 0, input_set.target)
+    found, record = _rank_search(binheap_frontier(s), 0, input_set.target)
     return _outcome(input_set, s, found, [record], started, trace)

@@ -10,12 +10,8 @@ appear exactly once; the exhaustive completeness checks in checks.py are
 the binding contract for that rule. Sums never decrease along an edge, so
 best-first expansion yields length-n subsets in nondecreasing sum order.
 
-On the solver's path a node is the int code mask << width | min_index: the
-bit mask of its indices, and the lowest index its children may advance,
-which is the index at min_modified_pos. The field width is
-size.bit_length() bits, so it holds any index of the set. The node's sum
-lives only in the frontier's heap key. subtree_root and subtree_children
-are the IndexSubset view of the same tree.
+subtree_frontier runs this tree over int codes (see _subtree_codec);
+subtree_root and subtree_children are its IndexSubset view.
 """
 
 from __future__ import annotations
@@ -24,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .model import IndexSubset, InputError, ScaledSet
+from .model import IndexSubset, ScaledSet, _check_length
 from .powerset import Frontier, _Decode, _indices_of, _mask_of, _Rule
 
 
@@ -32,7 +28,7 @@ from .powerset import Frontier, _Decode, _indices_of, _mask_of, _Rule
 class SubsetTree:
     """The implicit tree of all C(N, n) length-n subsets over a scaled set.
 
-    A length n outside [1, N] raises InputError.
+    A length n that is not an int in [1, N] raises InputError.
     """
 
     scaled: ScaledSet
@@ -40,8 +36,7 @@ class SubsetTree:
     total: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= self.scaled.size:
-            raise InputError(f"subset length {self.n} outside [1, {self.scaled.size}]")
+        _check_length(self.n, self.scaled.size)
         object.__setattr__(self, "total", math.comb(self.scaled.size, self.n))
 
 
@@ -91,8 +86,7 @@ def _subtree_codec(scaled: Sequence[int]) -> tuple[Callable[[Sequence[int], int]
 
 def subtree_root(s: ScaledSet, n: int) -> IndexSubset:
     """Root node: the n smallest elements, free to advance any position."""
-    if not 1 <= n <= s.size:
-        raise InputError(f"subset length {n} outside [1, {s.size}]")
+    _check_length(n, s.size)
     return IndexSubset(tuple(range(n)), sum(s.scaled_values[:n]))
 
 

@@ -24,6 +24,7 @@ from subsetsum import (
     binheap_children,
     binheap_frontier,
     binheap_root,
+    enumerate_sorted_sums,
     normalize,
     solve,
     subtree_children,
@@ -101,6 +102,39 @@ def test_rank_past_the_end_raises_before_any_expansion():
     with pytest.raises(InputError, match=rf"^rank {total + 1} exceeds the {total} subsets in this tree$"):
         frontier.select(total + 1)
     assert frontier.nodes_expanded == 0
+
+
+_S5 = ScaledSet((1, 5, 6, 13, 16), 0)
+_FRONTIERS = {
+    "subtree_frontier": lambda: subtree_frontier(SubsetTree(_S5, 2)),
+    "binheap_frontier": lambda: binheap_frontier(_S5),
+    "Frontier(root, expand)": lambda: Frontier(binheap_root(_S5), partial(binheap_children, s=_S5)),
+}
+
+
+@pytest.mark.parametrize("bad", [2.0, True, "2"], ids=repr)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: SubsetTree(_S5, n),
+        lambda n: subtree_root(_S5, n),
+        lambda n: enumerate_sorted_sums(_S5, n),
+    ],
+    ids=["SubsetTree", "subtree_root", "enumerate_sorted_sums"],
+)
+def test_non_int_length_is_refused(call, bad):
+    with pytest.raises(InputError, match="^subset length"):
+        call(bad)
+
+
+@pytest.mark.parametrize("bad", [2.0, True, "2"], ids=repr)
+@pytest.mark.parametrize("make", list(_FRONTIERS.values()), ids=list(_FRONTIERS))
+def test_non_int_rank_is_refused_before_any_expansion(make, bad):
+    frontier = make()
+    with pytest.raises(InputError, match="^rank"):
+        frontier.select(bad)
+    assert frontier.nodes_expanded == 0
+    assert frontier.select(2) == make().select(2)
 
 
 def test_expanded_nodes_hold_no_tracked_objects():
