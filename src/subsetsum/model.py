@@ -131,5 +131,15 @@ def normalize(input_set: InputSet) -> ScaledSet:
 
 
 def unscale(subset: IndexSubset, s: ScaledSet) -> tuple[int, ...]:
-    """Map an index subset back to its original values, ascending."""
-    return tuple(s.sorted_values[i] for i in subset.indices)
+    """Map an index subset back to its original values, ascending.
+
+    Indices that are not ints increasing strictly within [0, N) raise
+    InputError: a negative index would otherwise wrap to the end.
+    """
+    values, last, out = s.sorted_values, -1, []
+    for i in subset.indices:
+        if not (type(i) is int and last < i < len(values)):
+            raise InputError(f"indices {subset.indices} are not ints increasing strictly within [0, {len(values)})")
+        out.append(values[i])
+        last = i
+    return tuple(out)

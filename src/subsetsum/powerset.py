@@ -14,16 +14,23 @@ binheap_root and binheap_children are its IndexSubset view.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush, heapreplace
 from typing import Callable, Sequence
 
 from .model import IndexSubset, InputError, ScaledSet
 
-# A rule maps a node's code and sum to its children, flattened as
-# [sum, code, sum, code, ...] in push order; a decoder maps a code and its
-# sum to the IndexSubset the code stands for.
-_Rule = Callable[[int, int], list[int]]
+# A rule expands the node on top of a frontier's heap in place. Called as
+# rule(code, sum, heap, codes), it keys each child as sum << _SEQ_SHIFT |
+# len(codes) and appends the child's code to codes: the first child
+# replaces the node's key at the top, later ones are pushed, and a node
+# with no children is popped. A decoder maps a code and its sum to the
+# IndexSubset the code stands for.
+_Rule = Callable[[int, int, list[int], list], None]
 _Decode = Callable[[int, int], IndexSubset]
+
+# The layout of a heap key; Frontier describes it.
+_SEQ_SHIFT = 64
+_SEQ_MASK = (1 << _SEQ_SHIFT) - 1
 
 
 def _mask_of(indices: Sequence[int]) -> int:
@@ -48,24 +55,38 @@ def _binheap_rule(scaled: Sequence[int]) -> _Rule:
     """The power-set tree's child rule over int codes: left child, then right.
 
     A node's code is the bit mask of its indices. The left child moves the
-    top bit up by one, the right child adds the bit above it; a node whose
-    top bit is the last index has no children.
+    top bit up by one and replaces the node at the top of the heap; the
+    right child adds the bit above it and is pushed. A node whose top bit
+    is the last index has no children and is popped.
     """
     size = len(scaled)
 
-    def children(mask: int, total: int) -> list[int]:
+    def children(mask: int, total: int, heap: list[int], codes: list[int]) -> None:
         top = mask.bit_length() - 1
         nxt = top + 1
         if nxt >= size:
-            return []
+            heappop(heap)
+            return
         step = scaled[nxt]
-        return [total - scaled[top] + step, mask ^ 1 << top | 1 << nxt, total + step, mask | 1 << nxt]
+        seq = len(codes)
+        heapreplace(heap, (total - scaled[top] + step) << _SEQ_SHIFT | seq)
+        heappush(heap, (total + step) << _SEQ_SHIFT | seq + 1)
+        codes.append(mask ^ 1 << top | 1 << nxt)
+        codes.append(mask | 1 << nxt)
 
     return children
 
 
 def _binheap_decode(mask: int, total: int) -> IndexSubset:
     return IndexSubset(_indices_of(mask), total)
+
+
+def _decoded_children(rule: _Rule, decode: _Decode, code: int, total: int) -> list[IndexSubset]:
+    """One node's children, decoded in push order: the rule runs on a scratch heap whose one key is the node's."""
+    heap, codes = [0], [None]
+    rule(code, total, heap, codes)
+    keys = sorted(heap, key=lambda key: key & _SEQ_MASK)
+    return [decode(codes[key & _SEQ_MASK], key >> _SEQ_SHIFT) for key in keys]
 
 
 def binheap_root(s: ScaledSet) -> IndexSubset:
@@ -81,13 +102,7 @@ def binheap_children(node: IndexSubset, s: ScaledSet) -> list[IndexSubset]:
     node's sum. A node whose maximum element is the last one has no children.
     This view encodes the node, runs the solver's mask rule and decodes.
     """
-    kids = _binheap_rule(s.scaled_values)(_mask_of(node.indices), node.cached_sum)
-    return [_binheap_decode(kids[j + 1], kids[j]) for j in range(0, len(kids), 2)]
-
-
-# The layout of a heap key; Frontier describes it.
-_SEQ_SHIFT = 64
-_SEQ_MASK = (1 << _SEQ_SHIFT) - 1
+    return _decoded_children(_binheap_rule(s.scaled_values), _binheap_decode, _mask_of(node.indices), node.cached_sum)
 
 
 class Frontier:
@@ -118,11 +133,14 @@ class Frontier:
     """
 
     def __init__(self, root: IndexSubset, expand: Callable[[IndexSubset], list[IndexSubset]]) -> None:
-        def rule(node: IndexSubset, _: int) -> list:
-            kids: list = []
-            for child in expand(node):
-                kids += child.cached_sum, child
-            return kids
+        def rule(node: IndexSubset, _: int, heap: list[int], codes: list) -> None:
+            put = heapreplace  # heappush once the first child has taken the node's place
+            for child in expand(node):  # a list, built before the heap changes
+                put(heap, child.cached_sum << _SEQ_SHIFT | len(codes))
+                put = heappush
+                codes.append(child)
+            if put is heapreplace:
+                heappop(heap)
 
         self._start(root, root.cached_sum, rule, lambda node, _: node, None)
 
@@ -147,11 +165,13 @@ class Frontier:
     def select(self, k: int) -> IndexSubset:
         """Return the rank-k subset (1-based) in nondecreasing-sum order.
 
-        The top node is expanded before it leaves the heap, so an expand
-        that raises leaves the frontier as it was and a later call resumes.
-        Its first child then replaces it at the top in one sift. The keys
-        are unique, so the pop order depends only on the heap's contents,
-        not on how they are laid out. Only the returned rank is decoded.
+        The rule expands the top node in place: its first child replaces
+        it at the top in one sift, and its other children are pushed. The
+        keys are unique, so the pop order depends only on the heap's
+        contents, not on how they are laid out. Only the returned rank is
+        decoded. In Frontier(root, expand), expand runs before the heap
+        changes, so an expand that raises leaves the frontier as it was
+        and a later call resumes.
 
         A rank that is not an int of at least 1, or past the end of a tree
         frontier, raises InputError before any node is expanded.
@@ -164,21 +184,12 @@ class Frontier:
         if self._size is not None and k > self._size:
             raise InputError(f"rank {k} exceeds the {self._size} subsets in this tree")
         popped, codes, heap, rule = self._popped, self._codes, self._heap, self._rule
-        heappush, heapreplace, heappop = heapq.heappush, heapq.heapreplace, heapq.heappop
         for _ in range(k - len(popped)):
             if not heap:
                 raise InputError(f"rank {k} exceeds the {len(popped)} subsets in this tree")
             key = heap[0]
-            kids = rule(codes[key & _SEQ_MASK], key >> _SEQ_SHIFT)
+            rule(codes[key & _SEQ_MASK], key >> _SEQ_SHIFT, heap, codes)
             popped.append(key)
-            if not kids:
-                heappop(heap)
-                continue
-            heapreplace(heap, kids[0] << _SEQ_SHIFT | len(codes))
-            codes.append(kids[1])
-            for j in range(2, len(kids), 2):
-                heappush(heap, kids[j] << _SEQ_SHIFT | len(codes))
-                codes.append(kids[j + 1])
         key = popped[k - 1]
         return self._decode(codes[key & _SEQ_MASK], key >> _SEQ_SHIFT)
 

@@ -5,7 +5,9 @@ decode only the ranks select returns. Frontier(root, expand) over the
 public views subtree_children/binheap_children runs the same loop over
 IndexSubset nodes. Both must give the same subset, sum and
 min_modified_pos at every rank, and a coded frontier must hold no tracked
-object per expanded node.
+object per expanded node. Since both run the rules' in-place heap pushes,
+each select must also leave every code's sequence number exactly once in
+the heap or the memo.
 """
 
 import gc
@@ -31,6 +33,7 @@ from subsetsum import (
     subtree_frontier,
     subtree_root,
 )
+from subsetsum.powerset import _SEQ_MASK
 
 
 def _frontier_pairs(s):
@@ -135,6 +138,21 @@ def test_non_int_rank_is_refused_before_any_expansion(make, bad):
         frontier.select(bad)
     assert frontier.nodes_expanded == 0
     assert frontier.select(2) == make().select(2)
+
+
+@pytest.mark.parametrize(
+    "values", [(-7, -3, -2, 5, 8), (1, 1, 2, 2, 3, 3), (-4, 0, 0, 9, -4, 2, 7), (5,)], ids=str
+)
+def test_every_code_is_pending_or_popped_after_each_select(values):
+    s = normalize(InputSet(values, 0))
+    for coded, viewed, total in _frontier_pairs(s):
+        for frontier in (coded, viewed):
+            heap, popped, codes = frontier._heap, frontier._popped, frontier._codes
+            for k in range(1, total + 1):
+                frontier.select(k)
+                assert len(heap) + len(popped) == len(codes), k
+                assert sorted(key & _SEQ_MASK for key in heap + popped) == list(range(len(codes))), k
+            assert heap == []
 
 
 def test_expanded_nodes_hold_no_tracked_objects():

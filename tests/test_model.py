@@ -95,6 +95,16 @@ class TestUnscale:
         subset = IndexSubset(tuple(range(5)), sum(s.scaled_values))
         assert unscale(subset, s) == (-7, -3, -2, 5, 8)
 
+    @pytest.mark.parametrize(
+        "indices",
+        [(-1,), (0, -1), (9,), (2, 5), (3, 1), (2, 2), (1.0,), (True,)],
+        ids=["negative", "negative-last", "past-end", "at-end", "decreasing", "repeated", "float", "bool"],
+    )
+    def test_bad_indices_are_refused(self, indices):
+        s = normalize(InputSet((-7, -3, -2, 5, 8), 0))
+        with pytest.raises(InputError, match="^indices"):
+            unscale(IndexSubset(indices, 0), s)
+
 
 @given(values_strategy, st.data())
 @settings(max_examples=200)
