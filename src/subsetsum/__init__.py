@@ -21,9 +21,7 @@ from .model import (
 from .oracle import brute_force_solve, dp_decision, enumerate_sorted_sums
 from .powerset import (
     Frontier,
-    binheap_children,
     binheap_frontier,
-    binheap_root,
     lower_bound_rank_search,
 )
 from .solver import (
@@ -53,9 +51,7 @@ __all__ = [
     "SearchStats",
     "SolveOutcome",
     "SubsetTree",
-    "binheap_children",
     "binheap_frontier",
-    "binheap_root",
     "brute_force_solve",
     "dp_decision",
     "enumerate_sorted_sums",

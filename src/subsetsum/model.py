@@ -20,7 +20,7 @@ concurrent searches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 I64_MIN = -(2**63)
 I64_MAX = 2**63 - 1
@@ -47,13 +47,7 @@ class InputSet:
     target: int
 
     def __post_init__(self) -> None:
-        values = tuple(self.values)
-        object.__setattr__(self, "values", values)
-        if not values:
-            raise InputError("input set must contain at least one value")
-        for v in values:
-            if not _is_i64(v):
-                raise InputError(f"value {v!r} is not a 64-bit signed integer")
+        object.__setattr__(self, "values", _i64_values(self.values, "input set"))
         if not _is_i64(self.target):
             raise InputError(f"target {self.target!r} is not a 64-bit signed integer")
 
@@ -67,6 +61,20 @@ def _check_length(n: object, size: int) -> None:
 def _is_i64(v: object) -> bool:
     """True for a 64-bit signed int; bool is an int subclass but not a number here."""
     return isinstance(v, int) and not isinstance(v, bool) and I64_MIN <= v <= I64_MAX
+
+
+def _i64_values(values: object, what: str) -> tuple[int, ...]:
+    """The values as a nonempty tuple of 64-bit signed ints; anything else raises InputError."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise InputError(f"{what} values must be iterable, got {values!r}") from None
+    if not values:
+        raise InputError(f"{what} must contain at least one value")
+    for v in values:
+        if not _is_i64(v):
+            raise InputError(f"value {v!r} is not a 64-bit signed integer")
+    return values
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,13 +91,8 @@ class ScaledSet:
     scaled_values: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        values = tuple(self.sorted_values)
+        values = _i64_values(self.sorted_values, "scaled set")
         object.__setattr__(self, "sorted_values", values)
-        if not values:
-            raise InputError("scaled set must contain at least one value")
-        for v in values:
-            if not _is_i64(v):
-                raise InputError(f"value {v!r} is not a 64-bit signed integer")
         if any(a > b for a, b in zip(values, values[1:])):
             raise InputError("sorted_values must be nondecreasing")
         expected = max(0, 1 - values[0])
@@ -136,10 +139,15 @@ def unscale(subset: IndexSubset, s: ScaledSet) -> tuple[int, ...]:
     Indices that are not ints increasing strictly within [0, N) raise
     InputError: a negative index would otherwise wrap to the end.
     """
-    values, last, out = s.sorted_values, -1, []
-    for i in subset.indices:
-        if not (type(i) is int and last < i < len(values)):
-            raise InputError(f"indices {subset.indices} are not ints increasing strictly within [0, {len(values)})")
-        out.append(values[i])
+    values = s.sorted_values
+    return tuple(values[i] for i in _checked_indices(subset.indices, len(values)))
+
+
+def _checked_indices(indices: Iterable[object], size: int) -> Iterator[int]:
+    """Yield each index; one that is not an int above the last and below size raises InputError."""
+    last = -1
+    for i in indices:
+        if not (type(i) is int and last < i < size):
+            raise InputError(f"indices {indices} are not ints increasing strictly within [0, {size})")
+        yield i
         last = i
-    return tuple(out)

@@ -9,7 +9,12 @@ order and selecting rank k touches O(k) nodes. A binary search over ranks
 then locates a target sum without materializing the power set.
 
 binheap_frontier runs this tree over int codes (see _binheap_rule);
-binheap_root and binheap_children are its IndexSubset view.
+binheap_root and binheap_children are its IndexSubset view. That view and
+the Frontier(root, expand) adapter are internal, not exported by the
+package: subsetsum.checks, the tests and the benchmark's layer replica use
+them, and no solve reaches them. Both retire once the replica runs on the
+coded rules. The public view of the paper's subset tree is
+subtree_root/subtree_children.
 """
 
 from __future__ import annotations
@@ -127,6 +132,10 @@ class Frontier:
 
     Frontier(root, expand) runs the same loop over IndexSubset nodes: each
     node is its own code, and select returns the very objects expand gave.
+    This adapter is internal and off the solver's path: only the tests and
+    the benchmark's layer replica build one, over subtree_children or
+    binheap_children. It retires, with the power-set view, once the
+    replica runs on the coded rules.
 
     A Frontier is single-owner mutable state: concurrent searches over the
     same scaled set must each build their own.

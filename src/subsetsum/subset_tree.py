@@ -11,7 +11,7 @@ the binding contract for that rule. Sums never decrease along an edge, so
 best-first expansion yields length-n subsets in nondecreasing sum order.
 
 subtree_frontier runs this tree over int codes (see _subtree_codec);
-subtree_root and subtree_children are its IndexSubset view.
+subtree_root and subtree_children are its public IndexSubset view.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush, heapreplace
 from typing import Callable, Sequence
 
-from .model import IndexSubset, ScaledSet, _check_length
+from .model import IndexSubset, InputError, ScaledSet, _check_length, _checked_indices
 from .powerset import _SEQ_SHIFT, Frontier, _Decode, _decoded_children, _indices_of, _mask_of, _Rule
 
 
@@ -107,11 +107,18 @@ def subtree_children(node: IndexSubset, tree: SubsetTree) -> list[IndexSubset]:
     that run: the sum gains the value just past the run and loses the run's
     first value. A run that already ends on the last index has no child.
     This view encodes the node, runs the solver's code rule and decodes.
+
+    A node whose indices are not n ints increasing strictly within [0, N),
+    or whose min_modified_pos is not an int in [0, n), raises InputError.
+    Its cached_sum is trusted: the children's sums are offsets from it.
     """
-    base, total, min_pos = node
+    indices, total, min_pos = node
+    size = tree.scaled.size
+    checked = tuple(_checked_indices(indices, size))
+    if len(checked) != tree.n or not (type(min_pos) is int and 0 <= min_pos < tree.n):
+        raise InputError(f"{node} is not a node of the tree of {tree.n}-subsets of {size} values")
     encode, children, decode = _subtree_codec(tree.scaled.scaled_values)
-    code = encode(base, base[min_pos] if min_pos < len(base) else tree.scaled.size)
-    return _decoded_children(children, decode, code, total)
+    return _decoded_children(children, decode, encode(checked, checked[min_pos]), total)
 
 
 def subtree_frontier(tree: SubsetTree) -> Frontier:

@@ -1,6 +1,9 @@
 """The package's public surface: exactly these names, each importable."""
 
+import pytest
+
 import subsetsum
+import subsetsum.powerset
 from subsetsum import IndexSubset
 
 PUBLIC = {
@@ -16,9 +19,7 @@ PUBLIC = {
     "SearchStats",
     "SolveOutcome",
     "SubsetTree",
-    "binheap_children",
     "binheap_frontier",
-    "binheap_root",
     "brute_force_solve",
     "dp_decision",
     "enumerate_sorted_sums",
@@ -34,7 +35,7 @@ PUBLIC = {
 
 
 def test_all_is_exactly_the_public_names():
-    assert len(subsetsum.__all__) == len(PUBLIC) == 26
+    assert len(subsetsum.__all__) == len(PUBLIC) == 24
     assert set(subsetsum.__all__) == PUBLIC
 
 
@@ -45,3 +46,11 @@ def test_every_public_name_resolves():
 
 def test_index_subset_has_no_from_indices():
     assert not hasattr(IndexSubset, "from_indices")
+
+
+def test_power_set_view_is_internal():
+    for name in ("binheap_root", "binheap_children"):
+        assert not hasattr(subsetsum, name), name
+        assert callable(getattr(subsetsum.powerset, name)), name
+    with pytest.raises(ImportError):
+        from subsetsum import binheap_root  # noqa: F401

@@ -2,7 +2,7 @@
 
 subtree_frontier and binheap_frontier hold each node as a plain int and
 decode only the ranks select returns. Frontier(root, expand) over the
-public views subtree_children/binheap_children runs the same loop over
+views subtree_children/binheap_children runs the same loop over
 IndexSubset nodes. Both must give the same subset, sum and
 min_modified_pos at every rank, and a coded frontier must hold no tracked
 object per expanded node. Since both run the rules' in-place heap pushes,
@@ -23,9 +23,7 @@ from subsetsum import (
     InputSet,
     ScaledSet,
     SubsetTree,
-    binheap_children,
     binheap_frontier,
-    binheap_root,
     enumerate_sorted_sums,
     normalize,
     solve,
@@ -33,7 +31,7 @@ from subsetsum import (
     subtree_frontier,
     subtree_root,
 )
-from subsetsum.powerset import _SEQ_MASK
+from subsetsum.powerset import _SEQ_MASK, binheap_children, binheap_root
 
 
 def _frontier_pairs(s):

@@ -7,12 +7,32 @@ which of two equal-sum subsets is found first, or how many nodes a search
 expands, fails here even when every decision stays correct. The small mix
 keeps every heap small; the N=14 mix pins sift paths on frontiers of
 thousands of entries.
+
+The solver runs on integer-coded frontiers only. The IndexSubset views of
+both trees, their per-call decode and the Frontier(root, expand) adapter
+serve subsetsum.checks, the tests and the benchmark's layer replica, and
+the fence test pins that no solve reaches them.
 """
 
 import hashlib
 import random
 
-from subsetsum import InputSet, solve, solve_positive
+import pytest
+
+import subsetsum
+from subsetsum import (
+    Frontier,
+    InputSet,
+    checks,
+    cli,
+    model,
+    oracle,
+    powerset,
+    solve,
+    solve_positive,
+    solver,
+    subset_tree,
+)
 
 # sha256 of _behaviour() over each mix. Change them only with a deliberate
 # change of behaviour, and record the reason in CHANGES.md.
@@ -99,4 +119,33 @@ def test_large_frontier_behaviour_matches_golden_hash():
 
 
 def test_probed_ranks_match_golden_hash():
+    assert _probed_ranks(_instances()) == GOLDEN_RANKS
+
+
+# The view layer: every name below must be bound in at least one module.
+_VIEWS = ("subtree_root", "subtree_children", "binheap_root", "binheap_children", "_decoded_children")
+_MODULES = (subsetsum, model, oracle, powerset, subset_tree, solver, checks, cli)
+
+
+def _fence(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"the solver's path entered {name}")
+
+    return refuse
+
+
+def test_solver_path_never_enters_the_view_layer(monkeypatch):
+    fenced = set()
+    for module in _MODULES:
+        for name in _VIEWS:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, _fence(name))
+                fenced.add(name)
+    monkeypatch.setattr(Frontier, "__init__", _fence("Frontier.__init__"))
+    assert fenced == set(_VIEWS)
+    with pytest.raises(AssertionError, match="entered subtree_root"):
+        checks.check_tree(subset_tree.SubsetTree(model.ScaledSet((1, 2, 3), 0), 2))
+
+    assert _behaviour(_instances()) == GOLDEN
+    assert _behaviour(_large_instances()) == GOLDEN_N14
     assert _probed_ranks(_instances()) == GOLDEN_RANKS

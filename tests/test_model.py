@@ -79,6 +79,24 @@ class TestScaledSet:
         assert [s.scaled_values[i] for i in range(s.size)] == [1, 5, 6, 13, 16]
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: InputSet(5, 3), "input set values must be iterable, got 5"),
+        (lambda: InputSet(None, 3), "input set values must be iterable, got None"),
+        (lambda: ScaledSet(5, 0), "scaled set values must be iterable, got 5"),
+        (lambda: InputSet((), 0), "input set must contain at least one value"),
+        (lambda: ScaledSet((), 0), "scaled set must contain at least one value"),
+        (lambda: InputSet((1, 2.5), 0), "value 2.5 is not a 64-bit signed integer"),
+        (lambda: ScaledSet((1, 2.5), 0), "value 2.5 is not a 64-bit signed integer"),
+    ],
+    ids=["int", "none", "scaled-int", "empty", "scaled-empty", "float", "scaled-float"],
+)
+def test_values_are_refused_with_input_error(make, message):
+    with pytest.raises(InputError, match=message):
+        make()
+
+
 class TestUnscale:
     def test_mixed_sign_subset(self):
         s = normalize(InputSet((-7, -3, -2, 5, 8), 0))

@@ -9,15 +9,14 @@ from subsetsum import (
     InputError,
     InputSet,
     ScaledSet,
-    binheap_children,
     binheap_frontier,
-    binheap_root,
     brute_force_solve,
     enumerate_sorted_sums,
     lower_bound_rank_search,
     solve_positive,
 )
 from subsetsum.checks import check_tree
+from subsetsum.powerset import binheap_children, binheap_root
 
 positive_sets = st.lists(st.integers(1, 50), min_size=1, max_size=9).map(
     lambda vs: ScaledSet(tuple(sorted(vs)), 0)

@@ -18,11 +18,10 @@ from subsetsum import (
     InputError,
     ScaledSet,
     SubsetTree,
-    binheap_children,
-    binheap_root,
     subtree_children,
     subtree_root,
 )
+from subsetsum.powerset import binheap_children, binheap_root
 
 
 def reference_subtree_children(node, tree):

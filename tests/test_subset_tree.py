@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subsetsum import (
+    IndexSubset,
     InputError,
     ScaledSet,
     SubsetTree,
@@ -72,6 +73,32 @@ class TestChildren:
         assert child.indices == (0, 1, 2, 4)
         grandchildren = subtree_children(child, tree)
         assert [g.indices for g in grandchildren] == [(0, 1, 2, 5)]
+
+    @pytest.mark.parametrize(
+        "node",
+        [
+            IndexSubset((3, 1), 19, 0),
+            IndexSubset((1, 1), 10, 0),
+            IndexSubset((0,), 1, 0),
+            IndexSubset((0, 1, 2), 12, 0),
+            IndexSubset((-1, 2), 22, 0),
+            IndexSubset((0, 5), 1, 0),
+            IndexSubset((0, 1.0), 6, 0),
+            IndexSubset((0, 1), 6, 2),
+            IndexSubset((0, 1), 6, -1),
+            IndexSubset((0, 1), 6, True),
+        ],
+        ids=["decreasing", "repeated", "short", "long", "negative", "past-end", "float", "pos-n", "pos-neg", "pos-bool"],
+    )
+    def test_non_node_is_refused(self, node):
+        tree = SubsetTree(ScaledSet((1, 5, 6, 13, 16), 0), 2)
+        with pytest.raises(InputError):
+            subtree_children(node, tree)
+
+    def test_cached_sum_is_trusted(self):
+        tree = SubsetTree(ScaledSet((1, 5, 6, 13, 16), 0), 2)
+        children = subtree_children(IndexSubset((0, 1), 100, 0), tree)
+        assert [(c.indices, c.cached_sum) for c in children] == [((0, 2), 101), ((1, 2), 105)]
 
     def test_child_positions_never_below_parents(self):
         s = ScaledSet(tuple(sorted(random.Random(2).randint(1, 30) for _ in range(8))), 0)
