@@ -108,20 +108,16 @@ class ScaledSet:
 class IndexSubset(NamedTuple):
     """A subset as strictly increasing indices into a scaled set, plus its scaled sum.
 
-    As the view of a node of the fixed-length subset tree, min_modified_pos
-    is the position the node itself advanced from its parent (0 for the
-    root); its children advance only positions at or above it. Power-set
-    tree nodes and free-standing subsets leave it at 0.
+    A tree node is an IndexSubset itself: read its indices and cached_sum
+    directly. As the view of a node of the fixed-length subset tree,
+    min_modified_pos is the position the node itself advanced from its
+    parent (0 for the root); its children advance only positions at or
+    above it. Power-set tree nodes and free-standing subsets leave it at 0.
     """
 
     indices: tuple[int, ...]
     cached_sum: int
     min_modified_pos: int = 0
-
-    @property
-    def subset(self) -> "IndexSubset":
-        """The node's subset: the node itself, for code that reads node.subset."""
-        return self
 
 
 def normalize(input_set: InputSet) -> ScaledSet:

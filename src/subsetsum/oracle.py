@@ -1,20 +1,20 @@
 """Independent correctness references for the tree-based solver.
 
-The decision table and the brute-force enumerator use representations
-unrelated to the heap-ordered trees (a bitset dynamic program and plain
-itertools enumeration), so agreement between the two sides is meaningful
-evidence. They exist to cross-check, never to be fast, and each raises
-CapacityError on inputs beyond its fixed cap: DP_CELL_CAP cells per
-decision-table row, BRUTE_FORCE_MAX_SIZE elements, ENUMERATION_CAP subsets.
+The decision table, the brute-force solver and the sum enumerator use
+representations unrelated to the heap-ordered trees (a bitset dynamic
+program and plain itertools enumeration, with no tree nodes), so
+agreement between the two sides is meaningful evidence. They exist to
+cross-check, never to be fast, and each raises CapacityError on inputs
+beyond its fixed cap: DP_CELL_CAP cells per decision-table row,
+BRUTE_FORCE_MAX_SIZE elements, ENUMERATION_CAP subsets.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations
-from operator import itemgetter
 
-from .model import CapacityError, IndexSubset, InputSet, ScaledSet, _check_length
+from .model import CapacityError, InputSet, ScaledSet, _check_length
 
 DP_CELL_CAP = 10**7
 BRUTE_FORCE_MAX_SIZE = 25
@@ -67,14 +67,13 @@ def brute_force_solve(input_set: InputSet) -> tuple[int, ...] | None:
     return None
 
 
-def enumerate_sorted_sums(s: ScaledSet, n: int | None = None) -> list[tuple[int, IndexSubset]]:
-    """All length-n subsets (or all nonempty subsets when n is None), sum-sorted.
+def enumerate_sorted_sums(s: ScaledSet, n: int | None = None) -> list[int]:
+    """The scaled sums of all length-n subsets (all nonempty ones when n is None), ascending.
 
-    Entries are (scaled sum, subset) in nondecreasing sum order; ties keep
-    generation order (increasing cardinality, then lexicographic indices).
-    This is the reference that rank selection is tested against. A length
-    that is not an int in [1, N] raises InputError; more than
-    ENUMERATION_CAP subsets raise CapacityError.
+    One entry per subset, so equal sums repeat. This is the reference that
+    rank selection is tested against. A length that is not an int in
+    [1, N] raises InputError; more than ENUMERATION_CAP subsets raise
+    CapacityError.
     """
     size = s.size
     if n is not None:
@@ -82,12 +81,5 @@ def enumerate_sorted_sums(s: ScaledSet, n: int | None = None) -> list[tuple[int,
     total = math.comb(size, n) if n is not None else (1 << size) - 1
     if total > ENUMERATION_CAP:
         raise CapacityError(f"enumeration of {total} subsets exceeds cap {ENUMERATION_CAP}")
-    scaled = s.scaled_values
-    entries: list[tuple[int, IndexSubset]] = []
     lengths = (n,) if n is not None else range(1, size + 1)
-    for length in lengths:
-        for combo in combinations(range(size), length):
-            combo_sum = sum(scaled[i] for i in combo)
-            entries.append((combo_sum, IndexSubset(combo, combo_sum)))
-    entries.sort(key=itemgetter(0))
-    return entries
+    return sorted(sum(combo) for length in lengths for combo in combinations(s.scaled_values, length))

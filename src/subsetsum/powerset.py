@@ -22,7 +22,7 @@ from __future__ import annotations
 from heapq import heappop, heappush, heapreplace
 from typing import Callable, Sequence
 
-from .model import IndexSubset, InputError, ScaledSet
+from .model import IndexSubset, InputError, ScaledSet, _checked_indices
 
 # A rule expands the node on top of a frontier's heap in place. Called as
 # rule(code, sum, heap, codes), it keys each child as sum << _SEQ_SHIFT |
@@ -106,8 +106,15 @@ def binheap_children(node: IndexSubset, s: ScaledSet) -> list[IndexSubset]:
     sorted set; the right child appends the successor. Both sums are >= the
     node's sum. A node whose maximum element is the last one has no children.
     This view encodes the node, runs the solver's mask rule and decodes.
+
+    A node whose indices are not one or more ints increasing strictly
+    within [0, N) raises InputError. Its cached_sum is trusted: the
+    children's sums are offsets from it.
     """
-    return _decoded_children(_binheap_rule(s.scaled_values), _binheap_decode, _mask_of(node.indices), node.cached_sum)
+    checked = tuple(_checked_indices(node.indices, s.size))
+    if not checked:
+        raise InputError(f"{node} is not a node of the power-set tree of {s.size} values")
+    return _decoded_children(_binheap_rule(s.scaled_values), _binheap_decode, _mask_of(checked), node.cached_sum)
 
 
 class Frontier:

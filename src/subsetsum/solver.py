@@ -89,9 +89,8 @@ def _outcome(
     found: IndexSubset | None,
     orders: list[OrderTrace],
     started: int,
-    trace: list[OrderTrace] | None,
 ) -> SolveOutcome:
-    """Map a found subset back to original values and pack the records.
+    """Map a found subset back to original values and pack the records into stats.
 
     A found subset that misses the target is an internal fault; the check
     raises rather than asserts so that it also runs under python -O.
@@ -103,26 +102,18 @@ def _outcome(
             raise RuntimeError(
                 f"internal fault: found subset {values} does not sum to the target {input_set.target}"
             )
-    stats = SearchStats(tuple(orders), time.perf_counter_ns() - started)
-    if trace is not None:
-        trace.extend(stats.orders)
-    return SolveOutcome(values, stats)
+    return SolveOutcome(values, SearchStats(tuple(orders), time.perf_counter_ns() - started))
 
 
-def solve(
-    input_set: InputSet,
-    trace: list[OrderTrace] | None = None,
-    range_check: bool = True,
-) -> SolveOutcome:
+def solve(input_set: InputSet, *, range_check: bool = True) -> SolveOutcome:
     """Find a minimum-cardinality subset of the input summing to the target.
 
-    outcome.stats.orders holds one OrderTrace per searched length; a list
-    passed as trace receives the same records. Targets outside a length's
-    reachable window, below the sum of its n smallest scaled values or
-    above the sum of its n largest, are skipped without a search.
-    range_check=False disables that shortcut and forces the full binary
-    search on every length; decisions are unchanged and worst-case
-    benchmarks use it to measure full probing cost.
+    outcome.stats.orders holds one OrderTrace per searched length. Targets
+    outside a length's reachable window, below the sum of its n smallest
+    scaled values or above the sum of its n largest, are skipped without a
+    search. The keyword-only range_check=False disables that shortcut and
+    forces the full binary search on every length; decisions are unchanged
+    and worst-case benchmarks use it to measure full probing cost.
     """
     started = time.perf_counter_ns()
     s = normalize(input_set)
@@ -137,10 +128,10 @@ def solve(
         orders.append(record)
         if found is not None:
             break
-    return _outcome(input_set, s, found, orders, started, trace)
+    return _outcome(input_set, s, found, orders, started)
 
 
-def solve_positive(input_set: InputSet, trace: list[OrderTrace] | None = None) -> SolveOutcome:
+def solve_positive(input_set: InputSet) -> SolveOutcome:
     """Solve a strictly positive instance with a single whole-powerset search.
 
     This is the paper's baseline: with no offset every subset length shares
@@ -151,11 +142,11 @@ def solve_positive(input_set: InputSet, trace: list[OrderTrace] | None = None) -
     N=16 inputs it expanded about six times as many. Decisions and solution
     sums agree with solve on any strictly positive input, but the subset
     found need not have minimum cardinality. stats.orders holds the search
-    as one record of order 0; a list passed as trace receives it too.
+    as one record of order 0.
     """
     if min(input_set.values) <= 0:
         raise InputError("solve_positive needs strictly positive values; use solve instead")
     started = time.perf_counter_ns()
     s = normalize(input_set)
     found, record = _rank_search(binheap_frontier(s), 0, input_set.target)
-    return _outcome(input_set, s, found, [record], started, trace)
+    return _outcome(input_set, s, found, [record], started)

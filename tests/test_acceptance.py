@@ -85,8 +85,8 @@ def test_criterion_1_golden_trace(capsys):
     assert s.scaled_values == (1, 5, 6, 13, 16)
 
     solve(instance)  # warm call so the timing below measures the search, not imports
-    traces = []
-    outcome = solve(instance, traces)
+    outcome = solve(instance)
+    traces = outcome.stats.orders
     assert outcome.subset == (-3, -2, 5)
     assert outcome.stats.orders_searched == 3
     assert [t.scaled_target for t in traces] == [8, 16, 24]
@@ -140,9 +140,9 @@ def test_criterion_4_subtree_completeness_and_heap_order():
             stack = [subtree_root(s, n)]
             while stack:
                 node = stack.pop()
-                seen.add(node.subset.indices)
+                seen.add(node.indices)
                 for child in subtree_children(node, tree):
-                    assert child.subset.cached_sum >= node.subset.cached_sum
+                    assert child.cached_sum >= node.cached_sum
                     stack.append(child)
             assert len(seen) == math.comb(size, n), (s.scaled_values, n)
             trees_checked += 1
@@ -156,14 +156,14 @@ def test_criterion_5_selection_matches_enumeration():
         s = ScaledSet(tuple(sorted(rng.randint(1, 40) for _ in range(size))), 0)
         for n in range(1, size + 1):
             tree = SubsetTree(s, n)
-            expected = [total for total, _ in enumerate_sorted_sums(s, n)]
+            expected = enumerate_sorted_sums(s, n)
             frontier = subtree_frontier(tree)
             got = [frontier.select(k).cached_sum for k in range(1, tree.total + 1)]
             assert got == expected, (s.scaled_values, n)
             ranks_checked += len(got)
     for size in range(1, 13):
         s = ScaledSet(tuple(sorted(rng.randint(1, 40) for _ in range(size))), 0)
-        expected = [total for total, _ in enumerate_sorted_sums(s)]
+        expected = enumerate_sorted_sums(s)
         frontier = binheap_frontier(s)
         got = [frontier.select(k).cached_sum for k in range(1, 2**size)]
         assert got == expected, s.scaled_values

@@ -81,10 +81,10 @@ def _large_instances():
         yield 2, InputSet(tuple(values), sum(rng.sample(values, k)))
 
 
-def _run(kind, inst, trace=None):
+def _run(kind, inst):
     if kind == 2:
-        return solve_positive(inst, trace)
-    return solve(inst, trace, range_check=kind == 0)
+        return solve_positive(inst)
+    return solve(inst, range_check=kind == 0)
 
 
 def _digest(lines) -> str:
@@ -101,12 +101,11 @@ def _behaviour(instances) -> str:
 
 
 def _probed_ranks(instances) -> str:
-    """Every record's (order, scaled_target, ranks_probed, found), collected through trace."""
+    """Every record's (order, scaled_target, ranks_probed, found), read from stats.orders."""
     lines = []
     for kind, inst in instances:
-        trace = []
-        _run(kind, inst, trace)
-        lines.extend(repr((t.order, t.scaled_target, t.ranks_probed, t.found)) for t in trace)
+        records = _run(kind, inst).stats.orders
+        lines.extend(repr((t.order, t.scaled_target, t.ranks_probed, t.found)) for t in records)
     return _digest(lines)
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subsetsum import (
+    IndexSubset,
     InputError,
     InputSet,
     ScaledSet,
@@ -58,6 +59,15 @@ class TestChildren:
         left, right = binheap_children(five, s)
         assert left.indices == (2,) and left.cached_sum == 7
         assert right.indices == (1, 2) and right.cached_sum == 12
+
+    @pytest.mark.parametrize(
+        "node",
+        [IndexSubset((9,), 0), IndexSubset((3, 1), 7), IndexSubset((), 0), IndexSubset((-1,), 5)],
+        ids=["past-end", "decreasing", "empty", "negative"],
+    )
+    def test_non_node_is_refused(self, node):
+        with pytest.raises(InputError):
+            binheap_children(node, ScaledSet((1, 2, 3, 4, 5), 0))
 
 
 class TestKthSmallest:
@@ -133,7 +143,7 @@ class TestProperties:
     @given(positive_sets)
     @settings(max_examples=40)
     def test_selection_matches_enumeration(self, s):
-        expected = [total for total, _ in enumerate_sorted_sums(s)]
+        expected = enumerate_sorted_sums(s)
         frontier = binheap_frontier(s)
         got = [frontier.select(k).cached_sum for k in range(1, 2**s.size)]
         assert got == expected

@@ -37,20 +37,18 @@ def assert_probe_bounds(stats, size):
 
 class TestSearchOrder:
     def test_hit_at_order_three(self):
-        traces = []
-        outcome = solve(InputSet((-7, -3, -2, 5, 8), 0), traces)
+        outcome = solve(InputSet((-7, -3, -2, 5, 8), 0))
+        traces = outcome.stats.orders
         assert traces[2].order == 3 and traces[2].scaled_target == 24 and traces[2].found
         assert outcome.subset == (-3, -2, 5)  # sorted indices (1, 2, 3)
         assert outcome.stats.probes_per_order[2] >= 1
 
     def test_miss_at_order_one(self):
-        traces = []
-        solve(InputSet((-7, -3, -2, 5, 8), 0), traces)
+        traces = solve(InputSet((-7, -3, -2, 5, 8), 0)).stats.orders
         assert (traces[0].order, traces[0].scaled_target, traces[0].found) == (1, 8, False)
 
     def test_miss_at_order_two(self):
-        traces = []
-        solve(InputSet((-7, -3, -2, 5, 8), 0), traces)
+        traces = solve(InputSet((-7, -3, -2, 5, 8), 0)).stats.orders
         assert (traces[1].order, traces[1].scaled_target, traces[1].found) == (2, 16, False)
 
     def test_out_of_window_targets_cost_no_probes(self):
@@ -80,8 +78,7 @@ class TestSolve:
         assert outcome.stats.orders_searched == 1
 
     def test_trace_records_orders_and_targets(self):
-        traces = []
-        solve(InputSet((-7, -3, -2, 5, 8), 0), traces)
+        traces = solve(InputSet((-7, -3, -2, 5, 8), 0)).stats.orders
         assert [t.order for t in traces] == [1, 2, 3]
         assert [t.scaled_target for t in traces] == [8, 16, 24]
         assert [t.found for t in traces] == [False, False, True]
@@ -156,8 +153,7 @@ class TestSolvePositive:
             solve_positive(InputSet(values, 3))
 
     def test_trace_marks_powerset_search(self):
-        traces = []
-        solve_positive(InputSet((2, 5, 7), 9), traces)
+        traces = solve_positive(InputSet((2, 5, 7), 9)).stats.orders
         assert len(traces) == 1
         assert traces[0].order == 0
         assert traces[0].found
@@ -190,11 +186,11 @@ class TestSearchRecords:
         assert self.replayed_nodes(binheap_frontier(normalize(instance)), record.ranks_probed) == record.nodes_expanded
 
     @pytest.mark.parametrize("call", [solve, solve_positive])
-    def test_trace_holds_exactly_the_stats_records(self, call):
-        trace = []
-        outcome = call(InputSet((2, 5, 7, 11), 18), trace)
-        assert len(trace) == len(outcome.stats.orders)
-        assert all(a is b for a, b in zip(trace, outcome.stats.orders))
+    def test_second_positional_argument_is_refused(self, call):
+        # The records are read from stats.orders; range_check is keyword-only,
+        # so an out-list passed positionally cannot switch the window off.
+        with pytest.raises(TypeError):
+            call(InputSet((2, 5, 7, 11), 18), [])
 
 
 @given(instances)

@@ -171,7 +171,7 @@ class TestContracts:
     def test_selection_matches_enumeration(self, s, data):
         n = data.draw(st.integers(1, s.size))
         tree = SubsetTree(s, n)
-        expected = [total for total, _ in enumerate_sorted_sums(s, n)]
+        expected = enumerate_sorted_sums(s, n)
         frontier = subtree_frontier(tree)
         got = [frontier.select(k).cached_sum for k in range(1, tree.total + 1)]
         assert got == expected
