@@ -19,23 +19,18 @@ subtree_root/subtree_children.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush, heapreplace
+from heapq import heappop, heappush
 from typing import Callable, Sequence
 
 from .model import IndexSubset, InputError, ScaledSet, _checked_indices
 
-# A rule expands the node on top of a frontier's heap in place. Called as
-# rule(code, sum, heap, codes), it keys each child as sum << _SEQ_SHIFT |
-# len(codes) and appends the child's code to codes: the first child
-# replaces the node's key at the top, later ones are pushed, and a node
-# with no children is popped. A decoder maps a code and its sum to the
-# IndexSubset the code stands for.
-_Rule = Callable[[int, int, list[int], list], None]
+# A rule expands one node of a frontier. Called as rule(code, sum, buckets,
+# sums), it appends each child's code to buckets[child_sum], the list of
+# codes pending at that sum; a child whose sum has no bucket opens one and
+# heappushes the sum onto sums, the heap of distinct pending sums. A
+# decoder maps a code and its sum to the IndexSubset the code stands for.
+_Rule = Callable[[int, int, dict[int, list], list[int]], None]
 _Decode = Callable[[int, int], IndexSubset]
-
-# The layout of a heap key; Frontier describes it.
-_SEQ_SHIFT = 64
-_SEQ_MASK = (1 << _SEQ_SHIFT) - 1
 
 
 def _mask_of(indices: Sequence[int]) -> int:
@@ -60,24 +55,31 @@ def _binheap_rule(scaled: Sequence[int]) -> _Rule:
     """The power-set tree's child rule over int codes: left child, then right.
 
     A node's code is the bit mask of its indices. The left child moves the
-    top bit up by one and replaces the node at the top of the heap; the
-    right child adds the bit above it and is pushed. A node whose top bit
-    is the last index has no children and is popped.
+    top bit up by one; the right child adds the bit above it. A node whose
+    top bit is the last index has no children.
     """
     size = len(scaled)
 
-    def children(mask: int, total: int, heap: list[int], codes: list[int]) -> None:
+    def children(mask: int, total: int, buckets: dict[int, list], sums: list[int]) -> None:
         top = mask.bit_length() - 1
         nxt = top + 1
         if nxt >= size:
-            heappop(heap)
             return
         step = scaled[nxt]
-        seq = len(codes)
-        heapreplace(heap, (total - scaled[top] + step) << _SEQ_SHIFT | seq)
-        heappush(heap, (total + step) << _SEQ_SHIFT | seq + 1)
-        codes.append(mask ^ 1 << top | 1 << nxt)
-        codes.append(mask | 1 << nxt)
+        left = total - scaled[top] + step
+        bucket = buckets.get(left)
+        if bucket is None:
+            buckets[left] = [mask ^ 1 << top | 1 << nxt]
+            heappush(sums, left)
+        else:
+            bucket.append(mask ^ 1 << top | 1 << nxt)
+        right = total + step
+        bucket = buckets.get(right)
+        if bucket is None:
+            buckets[right] = [mask | 1 << nxt]
+            heappush(sums, right)
+        else:
+            bucket.append(mask | 1 << nxt)
 
     return children
 
@@ -86,12 +88,25 @@ def _binheap_decode(mask: int, total: int) -> IndexSubset:
     return IndexSubset(_indices_of(mask), total)
 
 
+class _PushLog(dict):
+    """A bucket map that never holds a bucket, so every child opens one: it logs (code, sum) in push order."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.pushed: list[tuple[int, int]] = []
+
+    def get(self, total: int, default: object = None) -> None:
+        return None
+
+    def __setitem__(self, total: int, bucket: list) -> None:
+        self.pushed.append((bucket[0], total))
+
+
 def _decoded_children(rule: _Rule, decode: _Decode, code: int, total: int) -> list[IndexSubset]:
-    """One node's children, decoded in push order: the rule runs on a scratch heap whose one key is the node's."""
-    heap, codes = [0], [None]
-    rule(code, total, heap, codes)
-    keys = sorted(heap, key=lambda key: key & _SEQ_MASK)
-    return [decode(codes[key & _SEQ_MASK], key >> _SEQ_SHIFT) for key in keys]
+    """One node's children, decoded in push order: the rule runs on a scratch bucket map that logs each push."""
+    log = _PushLog()
+    rule(code, total, log, [])
+    return [decode(child, child_sum) for child, child_sum in log.pushed]
 
 
 def binheap_root(s: ScaledSet) -> IndexSubset:
@@ -126,15 +141,21 @@ class Frontier:
     resume expansion instead of restarting it.
 
     A node is held as a code: on the solver's path a plain int (see
-    subtree_frontier and binheap_frontier), so an expanded node allocates
-    no object the garbage collector tracks. Every code pushed is appended
-    to a list, so its position there is its sequence number: the root is 0
-    and each child gets the next one. The heap holds one integer key per
-    pending node, sum << 64 | seq, and the memo holds the keys of the
-    popped nodes. Keys order first by sum, for any integer sum, negative or
-    wider than 64 bits, and then by seq, so equal sums pop in insertion
-    order. The list keeps one 8-byte pointer per code, so seq < 2**61 and
-    never reaches the sum's bits. A code becomes an IndexSubset only when
+    subtree_frontier and binheap_frontier). Pending codes wait in buckets,
+    one list per distinct pending sum, in insertion order, and the heap
+    sums orders only the distinct sums, as in Dial's bucket queue. A child
+    whose sum is already pending costs one append and no heap sift, and the
+    only objects the garbage collector tracks are the bucket lists, not
+    the nodes. select drains the bucket of the smallest sum from a cursor
+    (bucket, head, sum). That bucket stays registered while it drains, so a
+    child with its parent's sum joins its tail, and it is dropped once
+    drained, before the next smallest sum is popped off the heap. Should a
+    pending sum fall below the current one, which no coded rule produces
+    but Frontier(root, expand) may, the rest of the current bucket is
+    parked under its sum and the lower sum is drained first. So sums may
+    be any integers, negative or wider than 64 bits. The pending count is
+    the cursor's bucket past head plus every bucket in sums. The memo holds
+    each popped code and its sum; a code becomes an IndexSubset only when
     select returns its rank.
 
     Frontier(root, expand) runs the same loop over IndexSubset nodes: each
@@ -149,14 +170,15 @@ class Frontier:
     """
 
     def __init__(self, root: IndexSubset, expand: Callable[[IndexSubset], list[IndexSubset]]) -> None:
-        def rule(node: IndexSubset, _: int, heap: list[int], codes: list) -> None:
-            put = heapreplace  # heappush once the first child has taken the node's place
-            for child in expand(node):  # a list, built before the heap changes
-                put(heap, child.cached_sum << _SEQ_SHIFT | len(codes))
-                put = heappush
-                codes.append(child)
-            if put is heapreplace:
-                heappop(heap)
+        def rule(node: IndexSubset, _: int, buckets: dict[int, list], sums: list[int]) -> None:
+            for child in expand(node):  # a list, built before the buckets change
+                total = child.cached_sum
+                bucket = buckets.get(total)
+                if bucket is None:
+                    buckets[total] = [child]
+                    heappush(sums, total)
+                else:
+                    bucket.append(child)
 
         self._start(root, root.cached_sum, rule, lambda node, _: node, None)
 
@@ -169,9 +191,11 @@ class Frontier:
 
     def _start(self, code: object, total: int, rule: Callable, decode: Callable, size: int | None) -> None:
         self._rule, self._decode, self._size = rule, decode, size
-        self._codes = [code]
-        self._heap: list[int] = [total << _SEQ_SHIFT]
-        self._popped: list[int] = []
+        self._cursor = ([code], 0, total)
+        self._buckets = {total: self._cursor[0]}
+        self._sums: list[int] = []
+        self._popped: list = []
+        self._popped_sums: list[int] = []
 
     @property
     def nodes_expanded(self) -> int:
@@ -181,33 +205,48 @@ class Frontier:
     def select(self, k: int) -> IndexSubset:
         """Return the rank-k subset (1-based) in nondecreasing-sum order.
 
-        The rule expands the top node in place: its first child replaces
-        it at the top in one sift, and its other children are pushed. The
-        keys are unique, so the pop order depends only on the heap's
-        contents, not on how they are laid out. Only the returned rank is
-        decoded. In Frontier(root, expand), expand runs before the heap
-        changes, so an expand that raises leaves the frontier as it was
-        and a later call resumes.
+        Each step expands the node at the cursor, whose rule files the
+        children into buckets, then moves the cursor past it. Only the
+        returned rank is decoded. The cursor is saved even when a rule
+        raises, and in Frontier(root, expand) expand runs before the
+        buckets change, so an expand that raises leaves the frontier as it
+        was and a later call resumes.
 
         A rank that is not an int of at least 1, or past the end of a tree
         frontier, raises InputError before any node is expanded.
         Frontier(root, expand) does not know its tree's size, so there the
-        rank is found past the end only when the heap runs dry, after every
+        rank is found past the end only when no sum is pending, after every
         node has been expanded.
         """
         if type(k) is not int or k < 1:
             raise InputError(f"rank must be an int of at least 1, got {k!r}")
-        if self._size is not None and k > self._size:
-            raise InputError(f"rank {k} exceeds the {self._size} subsets in this tree")
-        popped, codes, heap, rule = self._popped, self._codes, self._heap, self._rule
-        for _ in range(k - len(popped)):
-            if not heap:
-                raise InputError(f"rank {k} exceeds the {len(popped)} subsets in this tree")
-            key = heap[0]
-            rule(codes[key & _SEQ_MASK], key >> _SEQ_SHIFT, heap, codes)
-            popped.append(key)
-        key = popped[k - 1]
-        return self._decode(codes[key & _SEQ_MASK], key >> _SEQ_SHIFT)
+        popped, popped_sums = self._popped, self._popped_sums
+        if k > len(popped):
+            if self._size is not None and k > self._size:
+                raise InputError(f"rank {k} exceeds the {self._size} subsets in this tree")
+            buckets, sums, rule = self._buckets, self._sums, self._rule
+            bucket, head, total = self._cursor
+            try:
+                for _ in range(k - len(popped)):
+                    if head == len(bucket):
+                        if not sums:
+                            raise InputError(f"rank {k} exceeds the {len(popped)} subsets in this tree")
+                        del buckets[total]
+                        total = heappop(sums)
+                        bucket, head = buckets[total], 0
+                    elif sums and sums[0] < total:  # a lower sum is pending: park the rest of this bucket
+                        buckets[total] = bucket[head:]
+                        heappush(sums, total)
+                        total = heappop(sums)
+                        bucket, head = buckets[total], 0
+                    code = bucket[head]
+                    rule(code, total, buckets, sums)
+                    head += 1
+                    popped.append(code)
+                    popped_sums.append(total)
+            finally:
+                self._cursor = bucket, head, total
+        return self._decode(popped[k - 1], popped_sums[k - 1])
 
 
 def binheap_frontier(s: ScaledSet) -> Frontier:

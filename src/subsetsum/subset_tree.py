@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from heapq import heappop, heappush, heapreplace
+from heapq import heappush
 from typing import Callable, Sequence
 
 from .model import IndexSubset, InputError, ScaledSet, _check_length, _checked_indices
-from .powerset import _SEQ_SHIFT, Frontier, _Decode, _decoded_children, _indices_of, _mask_of, _Rule
+from .powerset import Frontier, _Decode, _decoded_children, _indices_of, _mask_of, _Rule
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,10 +51,8 @@ def _subtree_codec(scaled: Sequence[int]) -> tuple[Callable[[Sequence[int], int]
     the bit just past the run: the child's mask is mask ^ 1 << i | 1 << past,
     its sum gains scaled[past] - scaled[i], and its min_index is i + 1. Only
     bits at or above the node's min_index advance, and a run that already
-    ends on the last index has no child. The first child replaces the node
-    at the top of the frontier's heap, later ones are pushed, and a node
-    with no children is popped. decode(code, sum) gives the IndexSubset,
-    whose min_modified_pos counts the set bits below min_index.
+    ends on the last index has no child. decode(code, sum) gives the
+    IndexSubset, whose min_modified_pos counts the set bits below min_index.
     """
     size = len(scaled)
     width = size.bit_length()
@@ -63,11 +61,10 @@ def _subtree_codec(scaled: Sequence[int]) -> tuple[Callable[[Sequence[int], int]
     def encode(indices: Sequence[int], min_index: int) -> int:
         return _mask_of(indices) << width | min_index
 
-    def children(code: int, total: int, heap: list[int], codes: list[int]) -> None:
+    def children(code: int, total: int, buckets: dict[int, list], sums: list[int]) -> None:
         mask = code >> width
         start = code & low
         bits = mask >> start << start
-        put = heapreplace  # heappush once the first child has taken the node's place
         after = -1  # the bit visited before i; -1 before the first, where no run continues
         while bits:
             i = bits.bit_length() - 1
@@ -76,11 +73,13 @@ def _subtree_codec(scaled: Sequence[int]) -> tuple[Callable[[Sequence[int], int]
                 past = i + 1  # the index just past the run that starts at i
             after = i
             if past < size:
-                put(heap, (total + scaled[past] - scaled[i]) << _SEQ_SHIFT | len(codes))
-                put = heappush
-                codes.append((mask ^ 1 << i | 1 << past) << width | i + 1)
-        if put is heapreplace:
-            heappop(heap)
+                child_sum = total + scaled[past] - scaled[i]
+                bucket = buckets.get(child_sum)
+                if bucket is None:
+                    buckets[child_sum] = [(mask ^ 1 << i | 1 << past) << width | i + 1]
+                    heappush(sums, child_sum)
+                else:
+                    bucket.append((mask ^ 1 << i | 1 << past) << width | i + 1)
 
     def decode(code: int, total: int) -> IndexSubset:
         mask = code >> width

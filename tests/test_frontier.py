@@ -5,14 +5,15 @@ decode only the ranks select returns. Frontier(root, expand) over the
 views subtree_children/binheap_children runs the same loop over
 IndexSubset nodes. Both must give the same subset, sum and
 min_modified_pos at every rank, and a coded frontier must hold no tracked
-object per expanded node. Since both run the rules' in-place heap pushes,
-each select must also leave every code's sequence number exactly once in
-the heap or the memo.
+object per expanded node. Since both file children straight into the sum
+buckets, each select must also leave every code a rule produced exactly
+once pending or in the memo.
 """
 
 import gc
 import math
 import random
+from collections import Counter
 from functools import partial
 
 import pytest
@@ -31,7 +32,7 @@ from subsetsum import (
     subtree_frontier,
     subtree_root,
 )
-from subsetsum.powerset import _SEQ_MASK, binheap_children, binheap_root
+from subsetsum.powerset import binheap_children, binheap_root
 
 
 def _frontier_pairs(s):
@@ -138,6 +139,31 @@ def test_non_int_rank_is_refused_before_any_expansion(make, bad):
     assert frontier.select(2) == make().select(2)
 
 
+def _recording(frontier, produced):
+    """Wrap frontier's rule so each (code, sum) it files into a bucket is appended to produced."""
+    rule = frontier._rule
+
+    def recording(code, total, buckets, sums):
+        before = {key: len(bucket) for key, bucket in buckets.items()}
+        rule(code, total, buckets, sums)
+        for key, bucket in buckets.items():
+            produced.extend((child, key) for child in bucket[before.get(key, 0):])
+
+    frontier._rule = recording
+
+
+def _assert_bucket_layout(frontier, produced, k):
+    """Every produced code once, pending past the cursor or in the memo; each pending sum once in sums or current."""
+    buckets, sums, (bucket, head, total) = frontier._buckets, frontier._sums, frontier._cursor
+    assert buckets[total] is bucket and total not in sums, k
+    assert len(set(sums)) == len(sums) and set(buckets) == set(sums) | {total}, k
+    assert all(buckets[key] for key in sums), k
+    pending = [(code, total) for code in bucket[head:]]
+    pending += [(code, key) for key in sums for code in buckets[key]]
+    memo = list(zip(frontier._popped, frontier._popped_sums, strict=True))
+    assert Counter(pending + memo) == Counter(produced), k
+
+
 @pytest.mark.parametrize(
     "values", [(-7, -3, -2, 5, 8), (1, 1, 2, 2, 3, 3), (-4, 0, 0, 9, -4, 2, 7), (5,)], ids=str
 )
@@ -145,12 +171,14 @@ def test_every_code_is_pending_or_popped_after_each_select(values):
     s = normalize(InputSet(values, 0))
     for coded, viewed, total in _frontier_pairs(s):
         for frontier in (coded, viewed):
-            heap, popped, codes = frontier._heap, frontier._popped, frontier._codes
+            root_bucket, _, root_sum = frontier._cursor
+            produced = [(root_bucket[0], root_sum)]
+            _recording(frontier, produced)
             for k in range(1, total + 1):
                 frontier.select(k)
-                assert len(heap) + len(popped) == len(codes), k
-                assert sorted(key & _SEQ_MASK for key in heap + popped) == list(range(len(codes))), k
-            assert heap == []
+                _assert_bucket_layout(frontier, produced, k)
+            bucket, head, _ = frontier._cursor
+            assert frontier._sums == [] and head == len(bucket)
 
 
 def test_expanded_nodes_hold_no_tracked_objects():

@@ -134,7 +134,13 @@ def _trees(values):
     yield binheap_root(s), lambda node: binheap_children(node, s), 2 ** len(values) - 1
 
 
-@pytest.mark.parametrize("values", [(3,) * 8, (1, 1, 2, 2, 2, 3, 3, 4)], ids=str)
+# Heavy ties; all-distinct sums, so every child opens a new bucket; and
+# repeated values, whose zero-delta children join their parent's bucket.
+@pytest.mark.parametrize(
+    "values",
+    [(3,) * 8, (1, 1, 2, 2, 2, 3, 3, 4), tuple(2**i for i in range(9)), (1, 1, 1, 2, 2, 5, 5, 5)],
+    ids=str,
+)
 def test_tie_order_matches_pop_then_push(values):
     for root, expand, total in _trees(values):
         frontier = Frontier(root, expand)
@@ -147,23 +153,25 @@ def test_tie_order_matches_pop_then_push(values):
 @pytest.mark.parametrize("tree_index", [3, -1], ids=["subset-tree", "powerset"])
 def test_raising_expand_leaves_frontier_unchanged(tree_index):
     root, expand, total = list(_trees((1, 2, 2, 3, 5, 8, 9)))[tree_index]
-    calls = 0
-
-    def flaky(node):
-        nonlocal calls
-        calls += 1
-        if calls == 10:
-            raise RuntimeError("expand failed")
-        return expand(node)
-
-    frontier = Frontier(root, flaky)
-    with pytest.raises(RuntimeError):
-        frontier.select(total)
-    assert frontier.nodes_expanded == 9
-    frontier.select(total)
     fresh = Frontier(root, expand)
-    assert [frontier.select(k) for k in range(1, total + 1)] == [fresh.select(k) for k in range(1, total + 1)]
-    assert frontier.nodes_expanded == fresh.nodes_expanded == total
+    expected = [fresh.select(k) for k in range(1, total + 1)]
+    for fail_at in range(1, total + 1):  # every node, including the first of each bucket
+        calls = 0
+
+        def flaky(node):
+            nonlocal calls
+            calls += 1
+            if calls == fail_at:
+                raise RuntimeError("expand failed")
+            return expand(node)
+
+        frontier = Frontier(root, flaky)
+        with pytest.raises(RuntimeError):
+            frontier.select(total)
+        assert frontier.nodes_expanded == fail_at - 1
+        frontier.select(total)
+        assert [frontier.select(k) for k in range(1, total + 1)] == expected, fail_at
+        assert frontier.nodes_expanded == fresh.nodes_expanded == total
 
 
 # Sums no scaled set produces: negative, zero, beyond 64 bits either way, and
