@@ -64,8 +64,12 @@ def parse_instance_line(line: str) -> InputSet:
     return InputSet(tuple(values), target)
 
 
-def _read_instance_file(path: str) -> list[InputSet]:
-    """Parse every nonblank line of an instance file; errors name the file and line."""
+def _read_instance_file(path: str) -> list[tuple[str, InputSet]]:
+    """Parse every nonblank line of an instance file into (location, instance) pairs.
+
+    A location is the "<path>, line <n>: " prefix that names the line in an
+    error message; parse errors carry it too.
+    """
     try:
         with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
@@ -74,10 +78,11 @@ def _read_instance_file(path: str) -> list[InputSet]:
     instances = []
     for lineno, line in enumerate(lines, 1):
         if line.strip():
+            where = f"{path}, line {lineno}: "
             try:
-                instances.append(parse_instance_line(line))
+                instances.append((where, parse_instance_line(line)))
             except InputError as exc:
-                raise InputError(f"{path}, line {lineno}: {exc}") from None
+                raise InputError(f"{where}{exc}") from None
     return instances
 
 
@@ -105,11 +110,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
     else:
         if args.set is None or args.target is None:
             raise InputError("provide --set and --target together, or --file")
-        instances = [InputSet(tuple(_parse_int_tokens(args.set)), args.target)]
+        instances = [("", InputSet(tuple(_parse_int_tokens(args.set)), args.target))]
 
     all_found = True
-    for instance in instances:
-        outcome = (solve_positive if args.positive_fast_path else solve)(instance)
+    for where, instance in instances:
+        try:
+            outcome = (solve_positive if args.positive_fast_path else solve)(instance)
+        except InputError as exc:
+            raise InputError(f"{where}{exc}") from None
         if args.trace:
             # Keep stdout a single JSON object in --json mode.
             _print_trace(instance, outcome.stats.orders, sys.stderr if args.json else sys.stdout)

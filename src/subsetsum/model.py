@@ -31,7 +31,8 @@ class InputError(ValueError):
 
     That covers input values and targets that are not 64-bit signed
     integers, a malformed scaled set, a subset length that is not an int
-    in [1, N], and a rank that is not an int in [1, tree size].
+    in [1, N], a rank that is not an int in [1, tree size], and a child
+    whose sum is below its parent's in Frontier(root, expand).
     """
 
 

@@ -27,8 +27,9 @@ from .model import IndexSubset, InputError, ScaledSet, _checked_indices
 # A rule expands one node of a frontier. Called as rule(code, sum, buckets,
 # sums), it appends each child's code to buckets[child_sum], the list of
 # codes pending at that sum; a child whose sum has no bucket opens one and
-# heappushes the sum onto sums, the heap of distinct pending sums. A
-# decoder maps a code and its sum to the IndexSubset the code stands for.
+# heappushes the sum onto sums, the heap of distinct pending sums. No
+# child_sum is below sum: the tree is heap-ordered. A decoder maps a code
+# and its sum to the IndexSubset the code stands for.
 _Rule = Callable[[int, int, dict[int, list], list[int]], None]
 _Decode = Callable[[int, int], IndexSubset]
 
@@ -89,24 +90,20 @@ def _binheap_decode(mask: int, total: int) -> IndexSubset:
 
 
 class _PushLog(dict):
-    """A bucket map that never holds a bucket, so every child opens one: it logs (code, sum) in push order."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.pushed: list[tuple[int, int]] = []
+    """A bucket map that never holds a bucket, so every child opens one: it maps push index to (code, sum)."""
 
     def get(self, total: int, default: object = None) -> None:
         return None
 
     def __setitem__(self, total: int, bucket: list) -> None:
-        self.pushed.append((bucket[0], total))
+        super().__setitem__(len(self), (bucket[0], total))
 
 
 def _decoded_children(rule: _Rule, decode: _Decode, code: int, total: int) -> list[IndexSubset]:
     """One node's children, decoded in push order: the rule runs on a scratch bucket map that logs each push."""
     log = _PushLog()
     rule(code, total, log, [])
-    return [decode(child, child_sum) for child, child_sum in log.pushed]
+    return [decode(child, child_sum) for child, child_sum in log.values()]
 
 
 def binheap_root(s: ScaledSet) -> IndexSubset:
@@ -140,6 +137,11 @@ class Frontier:
     are memoized, letting one binary search probe ranks in any order and
     resume expansion instead of restarting it.
 
+    The tree must be heap-ordered, as the paper's trees are: no child's sum
+    is below its parent's. So the frontier is a monotone priority queue,
+    whose smallest pending sum never falls. Sums may be any integers,
+    negative or wider than 64 bits.
+
     A node is held as a code: on the solver's path a plain int (see
     subtree_frontier and binheap_frontier). Pending codes wait in buckets,
     one list per distinct pending sum, in insertion order, and the heap
@@ -149,29 +151,33 @@ class Frontier:
     the nodes. select drains the bucket of the smallest sum from a cursor
     (bucket, head, sum). That bucket stays registered while it drains, so a
     child with its parent's sum joins its tail, and it is dropped once
-    drained, before the next smallest sum is popped off the heap. Should a
-    pending sum fall below the current one, which no coded rule produces
-    but Frontier(root, expand) may, the rest of the current bucket is
-    parked under its sum and the lower sum is drained first. So sums may
-    be any integers, negative or wider than 64 bits. The pending count is
-    the cursor's bucket past head plus every bucket in sums. The memo holds
-    each popped code and its sum; a code becomes an IndexSubset only when
-    select returns its rank.
+    drained, before the next smallest sum is popped off the heap. The
+    pending count is the cursor's bucket past head plus every bucket in
+    sums. The memo holds each popped code and its sum; a code becomes an
+    IndexSubset only when select returns its rank.
 
     Frontier(root, expand) runs the same loop over IndexSubset nodes: each
     node is its own code, and select returns the very objects expand gave.
-    This adapter is internal and off the solver's path: only the tests and
-    the benchmark's layer replica build one, over subtree_children or
-    binheap_children. It retires, with the power-set view, once the
-    replica runs on the coded rules.
+    The coded rules are heap-ordered by construction, because scaled values
+    are sorted; this adapter takes its tree from outside code, so it checks
+    each expanded node's children first and raises InputError for a child
+    whose sum is below its parent's, before any child is filed. It is
+    internal and off the solver's path: only the tests and the benchmark's
+    layer replica build one, over subtree_children or binheap_children. It
+    retires, with the power-set view, once the replica runs on the coded
+    rules.
 
     A Frontier is single-owner mutable state: concurrent searches over the
     same scaled set must each build their own.
     """
 
     def __init__(self, root: IndexSubset, expand: Callable[[IndexSubset], list[IndexSubset]]) -> None:
-        def rule(node: IndexSubset, _: int, buckets: dict[int, list], sums: list[int]) -> None:
-            for child in expand(node):  # a list, built before the buckets change
+        def rule(node: IndexSubset, parent_sum: int, buckets: dict[int, list], sums: list[int]) -> None:
+            children = expand(node)  # a list, checked whole before the buckets change
+            for child in children:
+                if child.cached_sum < parent_sum:
+                    raise InputError(f"child {child} sums below its parent {node}: not a heap-ordered tree")
+            for child in children:
                 total = child.cached_sum
                 bucket = buckets.get(total)
                 if bucket is None:
@@ -206,11 +212,14 @@ class Frontier:
         """Return the rank-k subset (1-based) in nondecreasing-sum order.
 
         Each step expands the node at the cursor, whose rule files the
-        children into buckets, then moves the cursor past it. Only the
+        children into buckets, then moves the cursor past it. When the
+        cursor's bucket is drained, the next smallest sum is popped; heap
+        order means no pending sum is ever below the cursor's. Only the
         returned rank is decoded. The cursor is saved even when a rule
-        raises, and in Frontier(root, expand) expand runs before the
-        buckets change, so an expand that raises leaves the frontier as it
-        was and a later call resumes.
+        raises, and in Frontier(root, expand) expand runs and its children
+        are checked before the buckets change, so an expand that raises, or
+        a child below its parent, leaves the frontier as it was: a later
+        call expands that node again.
 
         A rank that is not an int of at least 1, or past the end of a tree
         frontier, raises InputError before any node is expanded.
@@ -232,11 +241,6 @@ class Frontier:
                         if not sums:
                             raise InputError(f"rank {k} exceeds the {len(popped)} subsets in this tree")
                         del buckets[total]
-                        total = heappop(sums)
-                        bucket, head = buckets[total], 0
-                    elif sums and sums[0] < total:  # a lower sum is pending: park the rest of this bucket
-                        buckets[total] = bucket[head:]
-                        heappush(sums, total)
                         total = heappop(sums)
                         bucket, head = buckets[total], 0
                     code = bucket[head]

@@ -193,6 +193,14 @@ class TestSolveCommand:
         assert code == 2
         assert err.strip() == f"error: {path}, line 3: not an integer: 'x'"
 
+    def test_file_solve_error_names_the_line(self, capsys, tmp_path):
+        path = tmp_path / "instances.txt"
+        path.write_text("1,2 ; 3\n-1,3 ; 2\n")
+        code, out, err = run(capsys, "solve", "--file", str(path), "--positive-fast-path")
+        assert code == 2
+        assert out.splitlines() == ["FOUND: {1, 2}"]
+        assert err == f"error: {path}, line 2: solve_positive needs strictly positive values; use solve instead\n"
+
     def test_missing_file_exits_two(self, capsys):
         code, _, err = run(capsys, "solve", "--file", "/nonexistent/instances.txt")
         assert code == 2

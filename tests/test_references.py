@@ -4,7 +4,8 @@ The references are the straightforward forms: a child generator that copies
 the parent's indices and cascades each bump slot by slot, and a frontier
 that pops the top before pushing its children. The package's versions must
 return the same children in the same order, and pop subsets in the same
-order, tie order included.
+order, tie order included, on any heap-ordered tree. Frontier(root, expand)
+must refuse a tree that is not heap-ordered without changing its state.
 """
 
 import heapq
@@ -174,8 +175,57 @@ def test_raising_expand_leaves_frontier_unchanged(tree_index):
         assert frontier.nodes_expanded == fresh.nodes_expanded == total
 
 
-# Sums no scaled set produces: negative, zero, beyond 64 bits either way, and
-# 2**70 against 2**70 + 1, which a float cannot tell apart.
+def _with_extra_child(expand, parent, delta):
+    """expand, plus one leaf under parent whose sum is parent's sum + delta; no tree holds the leaf."""
+    extra = IndexSubset((), parent.cached_sum + delta)
+
+    def wrapped(node):
+        if node is extra:
+            return []
+        children = expand(node)
+        return [*children, extra] if node == parent else children
+
+    return wrapped, extra
+
+
+def _pending(frontier):
+    """The pending (sum, node) pairs in pop order: the cursor's bucket past head, then each bucket in sums."""
+    bucket, head, total = frontier._cursor
+    pending = [(total, node) for node in bucket[head:]]
+    return pending + [(s, node) for s in sorted(frontier._sums) for node in frontier._buckets[s]]
+
+
+@pytest.mark.parametrize("later", [False, True], ids=["first-expansion", "later-new-bucket"])
+def test_child_below_its_parent_is_refused(later):
+    root, expand, total = list(_trees((1, 2, 2, 3, 5, 8, 9)))[3]
+    expected = [Frontier(root, expand).select(k) for k in range(1, total + 1)]
+    # The failing node's place in pop order: the root, or the first node of a bucket halfway down.
+    rank = 0
+    if later:
+        rank = next(r for r in range(total // 2, total) if expected[r].cached_sum > expected[r - 1].cached_sum)
+    parent = expected[rank]
+    refusing, _ = _with_extra_child(expand, parent, -1)
+    frontier = Frontier(root, refusing)
+    selected = [frontier.select(k) for k in range(1, rank + 1)]
+    assert selected == expected[:rank]
+    pending = _pending(frontier)
+    with pytest.raises(InputError, match="below its parent"):
+        frontier.select(total)
+    assert frontier.nodes_expanded == rank
+    assert _pending(frontier) == pending
+    assert all(frontier.select(k) is node for k, node in enumerate(selected, 1))
+
+    # A child whose sum equals its parent's is accepted, and joins the tail of its parent's bucket.
+    equal, extra = _with_extra_child(expand, parent, 0)
+    frontier, reference = Frontier(root, equal), ReferenceFrontier(root, equal)
+    got = [frontier.select(k) for k in range(1, total + 2)]
+    assert got == [reference.select(k) for k in range(1, total + 2)]
+    assert extra in got
+
+
+# Heap-ordered trees over sums no scaled set produces: negative, zero, beyond
+# 64 bits either way, and 2**70 against 2**70 + 1, which a float cannot tell
+# apart.
 _EXTREME_SUMS = (
     -(2**70), -(2**63) - 1, -(2**63), -(2**63) + 1, -5, -1, 0, 1, 7,
     2**63 - 1, 2**63, 2**63 + 1, 2**64, 2**70, 2**70 + 1,
@@ -189,22 +239,27 @@ _SUM_POOLS = {
 
 
 def _synthetic_tree(pool, seed, size):
-    """A root and an expand over `size` nodes whose sums are drawn from pool.
+    """A root and an expand over `size` heap-ordered nodes whose sums are drawn from pool.
 
-    Sums are not heap-ordered and the few distinct values tie heavily. Each
-    node's index tuple is its own id, so equal nodes are the same node.
+    The root takes the pool's minimum, and each child's sum is drawn from the
+    pool values at or above its parent's, so the few distinct values tie
+    heavily. Each node's index tuple is its own id, so equal nodes are the
+    same node.
     """
     rng = random.Random(seed)
-    nodes = [IndexSubset((i,), rng.choice(pool)) for i in range(size)]
+    nodes = [IndexSubset((0,), min(pool))]
     children = [[] for _ in range(size)]
     for i in range(1, size):
-        children[rng.randrange(i)].append(nodes[i])
+        parent = nodes[rng.randrange(i)]
+        node = IndexSubset((i,), rng.choice([v for v in pool if v >= parent.cached_sum]))
+        nodes.append(node)
+        children[parent.indices[0]].append(node)
     return nodes[0], lambda node: children[node.indices[0]]
 
 
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("pool", list(_SUM_POOLS), ids=str)
-def test_pop_order_on_sums_the_solver_never_produces(pool, seed):
+def test_pop_order_on_heap_ordered_extreme_sums(pool, seed):
     size = 600
     root, expand = _synthetic_tree(_SUM_POOLS[pool], seed, size)
     frontier = Frontier(root, expand)
