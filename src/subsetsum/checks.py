@@ -24,13 +24,22 @@ def _parts(tree: SubsetTree | ScaledSet) -> tuple[IndexSubset, Callable, int]:
 
 
 def edges(tree: SubsetTree | ScaledSet) -> Iterator[tuple[IndexSubset, IndexSubset]]:
-    """Yield every (parent, child) edge of the tree, depth first from the root."""
-    root, children, _ = _parts(tree)
+    """Yield every (parent, child) edge of the tree, depth first from the root.
+
+    A complete tree of total subsets has total - 1 edges. The walk stops
+    after the edge that reaches node total + 1, so a faulty child rule that
+    revisits subtrees ends the walk with one node too many, not a hang.
+    """
+    root, children, total = _parts(tree)
     stack = [root]
+    reached = 1
     while stack:
         node = stack.pop()
         for child in children(node):
             yield node, child
+            reached += 1
+            if reached > total:
+                return
             stack.append(child)
 
 
@@ -40,7 +49,7 @@ class TreeCheck(NamedTuple):
     total: int
     """Subsets the tree must hold, each exactly once."""
     nodes: int
-    """Nodes the walk reached, the root included."""
+    """Nodes the walk reached, the root included; at most total + 1, as the walk stops there."""
     distinct: int
     """Distinct index tuples among those nodes."""
     inversion: tuple[IndexSubset, IndexSubset] | None

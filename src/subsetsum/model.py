@@ -31,8 +31,10 @@ class InputError(ValueError):
 
     That covers input values and targets that are not 64-bit signed
     integers, a malformed scaled set, a subset length that is not an int
-    in [1, N], a rank that is not an int in [1, tree size], and a child
-    whose sum is below its parent's in Frontier(root, expand).
+    in [1, N], a rank that is not an int in [1, tree size], a child
+    whose sum is below its parent's in Frontier(root, expand), and a rank
+    that one of the solver's own rank-search frontiers has forgotten
+    (those frontiers are never handed out, see Frontier).
     """
 
 

@@ -154,7 +154,20 @@ class Frontier:
     drained, before the next smallest sum is popped off the heap. The
     pending count is the cursor's bucket past head plus every bucket in
     sums. The memo holds each popped code and its sum; a code becomes an
-    IndexSubset only when select returns its rank.
+    IndexSubset only when select returns its rank. Expansion never reads
+    the memo, so it can drop a prefix: ranks up to base are forgotten, and
+    nodes_expanded is base plus the memo's length.
+
+    A frontier that solve or solve_positive builds for its own rank search,
+    and never hands out, forgets: whenever a probe rises above the previous
+    one, select drops every rank up to that previous probe. In a lower-bound
+    binary search, a rising probe proves the previous one read a sum below
+    the target, so no later probe asks for it, and the memo holds only the
+    current leg of the search: at most about half the tree, where a frontier
+    that keeps every rank grows to every node it expands. Asking for a
+    forgotten rank raises InputError. The frontiers of subtree_frontier,
+    binheap_frontier and Frontier(root, expand) forget nothing and serve
+    every rank in any order.
 
     Frontier(root, expand) runs the same loop over IndexSubset nodes: each
     node is its own code, and select returns the very objects expand gave.
@@ -186,27 +199,34 @@ class Frontier:
                 else:
                     bucket.append(child)
 
-        self._start(root, root.cached_sum, rule, lambda node, _: node, None)
+        self._start(root, root.cached_sum, rule, lambda node, _: node, None, False)
 
     @classmethod
-    def _coded(cls, code: int, total: int, rule: _Rule, decode: _Decode, size: int) -> Frontier:
-        """A frontier over int codes of a tree of size subsets; decode(code, sum) gives the subset."""
+    def _coded(cls, code: int, total: int, rule: _Rule, decode: _Decode, size: int, forgets: bool) -> Frontier:
+        """A frontier over int codes of a tree of size subsets; decode(code, sum) gives the subset.
+
+        forgets is True only for the solver's own rank-search frontiers.
+        """
         frontier = cls.__new__(cls)
-        frontier._start(code, total, rule, decode, size)
+        frontier._start(code, total, rule, decode, size, forgets)
         return frontier
 
-    def _start(self, code: object, total: int, rule: Callable, decode: Callable, size: int | None) -> None:
+    def _start(
+        self, code: object, total: int, rule: Callable, decode: Callable, size: int | None, forgets: bool
+    ) -> None:
         self._rule, self._decode, self._size = rule, decode, size
         self._cursor = ([code], 0, total)
         self._buckets = {total: self._cursor[0]}
         self._sums: list[int] = []
+        self._base = 0  # ranks 1..base are forgotten; the memo holds ranks base+1 onward
+        self._probe = 0 if forgets else None  # the previous rank selected, on a frontier that forgets
         self._popped: list = []
         self._popped_sums: list[int] = []
 
     @property
     def nodes_expanded(self) -> int:
-        """Number of nodes popped and expanded so far."""
-        return len(self._popped)
+        """Number of nodes popped and expanded so far, forgotten ones included."""
+        return self._base + len(self._popped)
 
     def select(self, k: int) -> IndexSubset:
         """Return the rank-k subset (1-based) in nondecreasing-sum order.
@@ -225,21 +245,30 @@ class Frontier:
         frontier, raises InputError before any node is expanded.
         Frontier(root, expand) does not know its tree's size, so there the
         rank is found past the end only when no sum is pending, after every
-        node has been expanded.
+        node has been expanded. On a frontier that forgets, a rank it has
+        forgotten raises InputError and changes nothing; a rank above the
+        previous probe first forgets every rank up to that probe.
         """
         if type(k) is not int or k < 1:
             raise InputError(f"rank must be an int of at least 1, got {k!r}")
-        popped, popped_sums = self._popped, self._popped_sums
-        if k > len(popped):
-            if self._size is not None and k > self._size:
-                raise InputError(f"rank {k} exceeds the {self._size} subsets in this tree")
+        if self._size is not None and k > self._size:
+            raise InputError(f"rank {k} exceeds the {self._size} subsets in this tree")
+        popped, popped_sums, base, probe = self._popped, self._popped_sums, self._base, self._probe
+        if k <= base:
+            raise InputError(f"rank {k} was forgotten: this rank search's frontier keeps only ranks above {base}")
+        if probe is not None:
+            if k > probe:
+                del popped[: probe - base], popped_sums[: probe - base]
+                self._base = base = probe
+            self._probe = k
+        if k > base + len(popped):
             buckets, sums, rule = self._buckets, self._sums, self._rule
             bucket, head, total = self._cursor
             try:
-                for _ in range(k - len(popped)):
+                for _ in range(k - base - len(popped)):
                     if head == len(bucket):
                         if not sums:
-                            raise InputError(f"rank {k} exceeds the {len(popped)} subsets in this tree")
+                            raise InputError(f"rank {k} exceeds the {base + len(popped)} subsets in this tree")
                         del buckets[total]
                         total = heappop(sums)
                         bucket, head = buckets[total], 0
@@ -250,13 +279,19 @@ class Frontier:
                     popped_sums.append(total)
             finally:
                 self._cursor = bucket, head, total
-        return self._decode(popped[k - 1], popped_sums[k - 1])
+        return self._decode(popped[k - 1 - base], popped_sums[k - 1 - base])
 
 
 def binheap_frontier(s: ScaledSet) -> Frontier:
     """Fresh expansion state over the tree of all nonempty subsets of s."""
+    return _binheap_frontier(s, False)
+
+
+def _binheap_frontier(s: ScaledSet, forgets: bool) -> Frontier:
+    """binheap_frontier, or with forgets=True the solver's rank-search frontier that forgets (see Frontier)."""
     root = 1  # the mask of {0}
-    return Frontier._coded(root, s.scaled_values[0], _binheap_rule(s.scaled_values), _binheap_decode, (1 << s.size) - 1)
+    rule = _binheap_rule(s.scaled_values)
+    return Frontier._coded(root, s.scaled_values[0], rule, _binheap_decode, (1 << s.size) - 1, forgets)
 
 
 def lower_bound_rank_search(

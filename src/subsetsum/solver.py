@@ -11,6 +11,7 @@ may run concurrently without coordination.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -23,8 +24,8 @@ from .model import (
     normalize,
     unscale,
 )
-from .powerset import Frontier, binheap_frontier, lower_bound_rank_search
-from .subset_tree import SubsetTree, subtree_frontier
+from .powerset import Frontier, _binheap_frontier, lower_bound_rank_search
+from .subset_tree import _subtree_codec
 
 
 class OrderTrace(NamedTuple):
@@ -77,7 +78,11 @@ class SolveOutcome:
 
 
 def _rank_search(frontier: Frontier, order: int, scaled_target: int) -> tuple[IndexSubset | None, OrderTrace]:
-    """Binary-search every rank of a coded frontier for scaled_target; returns the match and the record."""
+    """Binary-search every rank of a coded frontier for scaled_target; returns the match and the record.
+
+    The frontier is the solver's own and forgets the ranks the search has
+    passed, so the memo holds only the current leg of the search.
+    """
     ranks: list[int] = []
     found, _ = lower_bound_rank_search(frontier, frontier._size, scaled_target, ranks)
     return found, OrderTrace(order, scaled_target, tuple(ranks), found is not None, frontier.nodes_expanded)
@@ -117,14 +122,21 @@ def solve(input_set: InputSet, *, range_check: bool = True) -> SolveOutcome:
     """
     started = time.perf_counter_ns()
     s = normalize(input_set)
+    scaled, size = s.scaled_values, s.size
+    encode, children, decode = _subtree_codec(scaled)
     orders: list[OrderTrace] = []
     found = None
-    for order in range(1, s.size + 1):
+    low = high = 0  # the sums of the order smallest and of the order largest scaled values
+    for order in range(1, size + 1):
+        low += scaled[order - 1]
+        high += scaled[-order]
         scaled_target = input_set.target + s.offset * order
-        if range_check and not sum(s.scaled_values[:order]) <= scaled_target <= sum(s.scaled_values[-order:]):
+        if range_check and not low <= scaled_target <= high:
             orders.append(OrderTrace(order, scaled_target, (), False, 0))
             continue
-        found, record = _rank_search(subtree_frontier(SubsetTree(s, order)), order, scaled_target)
+        root = encode((1 << order) - 1, 0)  # the order smallest values, free to advance any position
+        frontier = Frontier._coded(root, low, children, decode, math.comb(size, order), True)
+        found, record = _rank_search(frontier, order, scaled_target)
         orders.append(record)
         if found is not None:
             break
@@ -148,5 +160,5 @@ def solve_positive(input_set: InputSet) -> SolveOutcome:
         raise InputError("solve_positive needs strictly positive values; use solve instead")
     started = time.perf_counter_ns()
     s = normalize(input_set)
-    found, record = _rank_search(binheap_frontier(s), 0, input_set.target)
+    found, record = _rank_search(_binheap_frontier(s, True), 0, input_set.target)
     return _outcome(input_set, s, found, [record], started)

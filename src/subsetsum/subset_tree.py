@@ -41,11 +41,12 @@ class SubsetTree:
         object.__setattr__(self, "total", math.comb(self.scaled.size, self.n))
 
 
-def _subtree_codec(scaled: Sequence[int]) -> tuple[Callable[[Sequence[int], int], int], _Rule, _Decode]:
-    """The coded fixed-length tree over scaled: (encode, children, decode).
+def _subtree_codec(scaled: Sequence[int]) -> tuple[Callable[[int, int], int], _Rule, _Decode]:
+    """The coded fixed-length trees over scaled, one codec for every length: (encode, children, decode).
 
-    encode(indices, min_index) packs a node as mask << width | min_index,
-    where width = size.bit_length() holds any index and size itself.
+    encode(mask, min_index) packs a node as mask << width | min_index,
+    where width = size.bit_length() holds any index and size itself; the
+    root of the length-n tree is encode((1 << n) - 1, 0).
     children is the one child rule, in descending bit order. Advancing the
     run of consecutive set bits that starts at bit i clears bit i and sets
     the bit just past the run: the child's mask is mask ^ 1 << i | 1 << past,
@@ -58,8 +59,8 @@ def _subtree_codec(scaled: Sequence[int]) -> tuple[Callable[[Sequence[int], int]
     width = size.bit_length()
     low = (1 << width) - 1
 
-    def encode(indices: Sequence[int], min_index: int) -> int:
-        return _mask_of(indices) << width | min_index
+    def encode(mask: int, min_index: int) -> int:
+        return mask << width | min_index
 
     def children(code: int, total: int, buckets: dict[int, list], sums: list[int]) -> None:
         mask = code >> width
@@ -117,11 +118,11 @@ def subtree_children(node: IndexSubset, tree: SubsetTree) -> list[IndexSubset]:
     if len(checked) != tree.n or not (type(min_pos) is int and 0 <= min_pos < tree.n):
         raise InputError(f"{node} is not a node of the tree of {tree.n}-subsets of {size} values")
     encode, children, decode = _subtree_codec(tree.scaled.scaled_values)
-    return _decoded_children(children, decode, encode(checked, checked[min_pos]), total)
+    return _decoded_children(children, decode, encode(_mask_of(checked), checked[min_pos]), total)
 
 
 def subtree_frontier(tree: SubsetTree) -> Frontier:
     """Fresh expansion state over the fixed-length subset tree."""
     scaled = tree.scaled.scaled_values
     encode, children, decode = _subtree_codec(scaled)
-    return Frontier._coded(encode(range(tree.n), 0), sum(scaled[: tree.n]), children, decode, tree.total)
+    return Frontier._coded(encode((1 << tree.n) - 1, 0), sum(scaled[: tree.n]), children, decode, tree.total, False)

@@ -137,14 +137,17 @@ def test_criterion_4_subtree_completeness_and_heap_order():
         for n in range(1, size + 1):
             tree = SubsetTree(s, n)
             seen = set()
+            visited = 0
             stack = [subtree_root(s, n)]
-            while stack:
+            # A faulty rule can revisit subtrees without end: stop one node past the tree's size.
+            while stack and visited <= tree.total:
                 node = stack.pop()
+                visited += 1
                 seen.add(node.indices)
                 for child in subtree_children(node, tree):
                     assert child.cached_sum >= node.cached_sum
                     stack.append(child)
-            assert len(seen) == math.comb(size, n), (s.scaled_values, n)
+            assert visited == len(seen) == math.comb(size, n), (s.scaled_values, n)
             trees_checked += 1
     report(4, f"{trees_checked} trees complete with zero heap-order violations")
 

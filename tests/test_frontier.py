@@ -7,7 +7,9 @@ IndexSubset nodes. Both must give the same subset, sum and
 min_modified_pos at every rank, and a coded frontier must hold no tracked
 object per expanded node. Since both file children straight into the sum
 buckets, each select must also leave every code a rule produced exactly
-once pending or in the memo.
+once pending or in the memo. The solver's own frontiers forget the ranks
+its rank search has passed; public ones must still serve every rank in any
+order.
 """
 
 import gc
@@ -26,12 +28,15 @@ from subsetsum import (
     SubsetTree,
     binheap_frontier,
     enumerate_sorted_sums,
+    lower_bound_rank_search,
     normalize,
     solve,
+    solve_positive,
     subtree_children,
     subtree_frontier,
     subtree_root,
 )
+from subsetsum import solver
 from subsetsum.powerset import binheap_children, binheap_root
 
 
@@ -191,3 +196,104 @@ def test_expanded_nodes_hold_no_tracked_objects():
     grown = len(gc.get_objects()) - before
     assert frontier.nodes_expanded == tree.total == 3432
     assert grown < 50
+
+
+
+# The solver's own frontiers forget every rank up to the previous probe
+# whenever a probe rises above it. A public frontier forgets nothing.
+
+
+def _public_frontier(s, order):
+    """A fresh public frontier over the tree a solver record of this order searched."""
+    return binheap_frontier(s) if order == 0 else subtree_frontier(SubsetTree(s, order))
+
+
+def _watch_searches(monkeypatch, wrap):
+    """Route every rank search of the solver through wrap(frontier, target); returns the list it fills."""
+    searches = []
+
+    def search(frontier, total, target, rank_log):
+        watched = wrap(frontier, target)
+        found, probes = lower_bound_rank_search(watched, total, target, rank_log)
+        searches.append((watched, total, target, found))
+        return found, probes
+
+    monkeypatch.setattr(solver, "lower_bound_rank_search", search)
+    return searches
+
+
+class _Watched:
+    """Stands in for the solver's frontier and checks its memo after each probe against the search's lo."""
+
+    def __init__(self, frontier, target):
+        self.frontier, self.target, self.lo = frontier, target, 1
+        self.deepest = self.largest_memo = 0
+
+    def select(self, k):
+        subset = self.frontier.select(k)
+        frontier = self.frontier
+        self.deepest = max(self.deepest, k)
+        assert frontier._base == self.lo - 1, (k, self.lo)  # no rank below lo, and lo itself still held
+        assert frontier.nodes_expanded == self.deepest  # popped so far, forgotten ones included
+        self.largest_memo = max(self.largest_memo, len(frontier._popped))
+        if subset.cached_sum < self.target:
+            self.lo = k + 1
+        return subset
+
+
+def _solver_searches():
+    rng = random.Random(16)
+    for _ in range(30):
+        values = tuple(rng.randint(-20, 20) for _ in range(rng.randint(1, 9)))
+        yield partial(solve, range_check=False), InputSet(values, rng.randint(-40, 40))
+    for _ in range(10):
+        values = tuple(rng.randint(1, 30) for _ in range(rng.randint(1, 9)))
+        yield solve_positive, InputSet(values, rng.randint(1, sum(values) + 1))
+
+
+@pytest.mark.parametrize("call, instance", list(_solver_searches()))
+def test_solver_frontier_forgets_below_lo_and_matches_a_public_one(monkeypatch, call, instance):
+    searches = _watch_searches(monkeypatch, _Watched)
+    outcome = call(instance)
+    assert len(outcome.stats.orders) == len(searches)
+    s = normalize(instance)
+    for record, (watched, total, target, found) in zip(outcome.stats.orders, searches):
+        assert watched.largest_memo <= (total + 1) // 2  # the first probe's leg, never the whole tree
+        public = _public_frontier(s, record.order)
+        ranks = []
+        public_found, _ = lower_bound_rank_search(public, total, target, ranks)
+        assert tuple(ranks) == record.ranks_probed
+        assert public.nodes_expanded == watched.frontier.nodes_expanded == record.nodes_expanded
+        assert public_found == found
+
+
+@pytest.mark.parametrize("values", [(-7, -3, -2, 5, 8), (1, 1, 2, 2, 3, 3), (-4, 0, 0, 9, -4, 2, 7)], ids=str)
+def test_public_frontiers_serve_every_rank_in_any_order_after_a_rank_search(values):
+    s = normalize(InputSet(values, 0))
+    expected = [[coded.select(k) for k in range(1, total + 1)] for coded, _, total in _frontier_pairs(s)]
+    for above_every_sum in (True, False):
+        for subsets, (coded, viewed, total) in zip(expected, _frontier_pairs(s)):
+            # Above every sum each probe rises, where a forgetting frontier would drop the most.
+            target = subsets[-1].cached_sum + 1 if above_every_sum else subsets[total // 2].cached_sum
+            for frontier in (coded, viewed):
+                lower_bound_rank_search(frontier, total, target, [])
+                assert [frontier.select(k) for k in range(total, 0, -1)] == subsets[::-1]
+                assert frontier.nodes_expanded == total
+
+
+@pytest.mark.parametrize("call", [partial(solve, range_check=False), solve_positive], ids=["solve", "solve_positive"])
+def test_forgotten_rank_raises_and_changes_nothing(monkeypatch, call):
+    searches = _watch_searches(monkeypatch, lambda frontier, target: frontier)
+    instance = InputSet((3, 5, 8, 13, 21, 34), 1000)  # above every sum: every probe rises
+    outcome = call(instance)
+    s = normalize(instance)
+    assert len(searches) == len(outcome.stats.orders)
+    for record, (frontier, total, _, _) in zip(outcome.stats.orders, searches):
+        # The last probe, rank total, rose above rank total - 1 and forgot every rank below it.
+        state = (frontier._base, frontier._probe, frontier.nodes_expanded)
+        assert state == (total - 1, total, total)
+        for k in range(1, total):
+            with pytest.raises(InputError, match=rf"^rank {k} was forgotten"):
+                frontier.select(k)
+            assert (frontier._base, frontier._probe, frontier.nodes_expanded) == state
+        assert frontier.select(total) == _public_frontier(s, record.order).select(total)

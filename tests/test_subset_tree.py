@@ -15,6 +15,7 @@ from subsetsum import (
     subtree_frontier,
     subtree_root,
 )
+from subsetsum import checks
 from subsetsum.checks import check_tree, edges
 
 positive_sets = st.lists(st.integers(1, 50), min_size=1, max_size=8).map(
@@ -143,6 +144,13 @@ class TestExpandAll:
         tree = SubsetTree(s, 1)
         reached = [subtree_root(s, 1).indices] + [child.indices for _, child in edges(tree)]
         assert sorted(reached) == [(0,), (1,), (2,)]
+
+    def test_walk_of_a_rule_that_revisits_stops_incomplete(self, monkeypatch):
+        # Every node its own child: a walk with no cap would never end.
+        monkeypatch.setattr(checks, "subtree_children", lambda node, tree: [node])
+        walk = check_tree(SubsetTree(ScaledSet((1, 2, 3, 4, 5, 6), 0), 4))
+        assert walk.nodes == walk.total + 1 == 16
+        assert not walk.complete
 
 
 class TestContracts:
