@@ -29,12 +29,13 @@ I64_MAX = 2**63 - 1
 class InputError(ValueError):
     """An argument violates the input contract.
 
-    That covers input values and targets that are not 64-bit signed
-    integers, a malformed scaled set, a subset length that is not an int
-    in [1, N], a rank that is not an int in [1, tree size], a child
-    whose sum is below its parent's in Frontier(root, expand), and a rank
-    that one of the solver's own rank-search frontiers has forgotten
-    (those frontiers are never handed out, see Frontier).
+    That covers an instance that is not an InputSet, input values and
+    targets that are not 64-bit signed integers, a malformed scaled set, a
+    subset length that is not an int in [1, N], a rank that is not an int
+    in [1, tree size], a rank-search total that is not an int of at least
+    1, a child whose sum is below its parent's in Frontier(root, expand),
+    and a rank that one of the solver's own rank-search frontiers has
+    forgotten (those frontiers are never handed out, see Frontier).
     """
 
 
@@ -126,8 +127,11 @@ class IndexSubset(NamedTuple):
 def normalize(input_set: InputSet) -> ScaledSet:
     """Sort the input values and shift them into a strictly positive scaled set.
 
-    Deterministic for a given input.
+    Deterministic for a given input. Anything but an InputSet raises
+    InputError, so its checks cannot be skipped.
     """
+    if not isinstance(input_set, InputSet):
+        raise InputError(f"expected an InputSet, got {input_set!r}")
     values = tuple(sorted(input_set.values))
     return ScaledSet(values, max(0, 1 - values[0]))
 

@@ -8,7 +8,7 @@ grow the sum, so best-first expansion pops subsets in nondecreasing sum
 order and selecting rank k touches O(k) nodes. A binary search over ranks
 then locates a target sum without materializing the power set.
 
-binheap_frontier runs this tree over int codes (see _binheap_rule);
+binheap_frontier runs this tree over int codes (see _binheap_codec);
 binheap_root and binheap_children are its IndexSubset view. That view and
 the Frontier(root, expand) adapter are internal, not exported by the
 package: subsetsum.checks, the tests and the benchmark's layer replica use
@@ -29,9 +29,9 @@ from .model import IndexSubset, InputError, ScaledSet, _checked_indices
 # codes pending at that sum; a child whose sum has no bucket opens one and
 # heappushes the sum onto sums, the heap of distinct pending sums. No
 # child_sum is below sum: the tree is heap-ordered. A decoder maps a code
-# and its sum to the IndexSubset the code stands for.
+# to the IndexSubset it stands for, deriving the sum from its indices.
 _Rule = Callable[[int, int, dict[int, list], list[int]], None]
-_Decode = Callable[[int, int], IndexSubset]
+_Decode = Callable[[int], IndexSubset]
 
 
 def _mask_of(indices: Sequence[int]) -> int:
@@ -42,22 +42,25 @@ def _mask_of(indices: Sequence[int]) -> int:
     return mask
 
 
-def _indices_of(mask: int) -> tuple[int, ...]:
-    """The set bits of a mask, ascending."""
-    indices = []
+def _indices_and_sum(mask: int, scaled: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """The set bits of a mask, ascending, and the sum of their scaled values."""
+    indices, total = [], 0
     while mask:
         low = mask & -mask
-        indices.append(low.bit_length() - 1)
+        i = low.bit_length() - 1
+        indices.append(i)
+        total += scaled[i]
         mask ^= low
-    return tuple(indices)
+    return tuple(indices), total
 
 
-def _binheap_rule(scaled: Sequence[int]) -> _Rule:
-    """The power-set tree's child rule over int codes: left child, then right.
+def _binheap_codec(scaled: Sequence[int]) -> tuple[_Rule, _Decode]:
+    """The power-set tree over int codes: (children, decode).
 
-    A node's code is the bit mask of its indices. The left child moves the
-    top bit up by one; the right child adds the bit above it. A node whose
-    top bit is the last index has no children.
+    A node's code is the bit mask of its indices. children files the left
+    child, then the right. The left child moves the top bit up by one; the
+    right child adds the bit above it. A node whose top bit is the last
+    index has no children. decode(mask) gives the IndexSubset and its sum.
     """
     size = len(scaled)
 
@@ -82,28 +85,22 @@ def _binheap_rule(scaled: Sequence[int]) -> _Rule:
         else:
             bucket.append(mask | 1 << nxt)
 
-    return children
+    def decode(mask: int) -> IndexSubset:
+        return IndexSubset(*_indices_and_sum(mask, scaled))
 
-
-def _binheap_decode(mask: int, total: int) -> IndexSubset:
-    return IndexSubset(_indices_of(mask), total)
-
-
-class _PushLog(dict):
-    """A bucket map that never holds a bucket, so every child opens one: it maps push index to (code, sum)."""
-
-    def get(self, total: int, default: object = None) -> None:
-        return None
-
-    def __setitem__(self, total: int, bucket: list) -> None:
-        super().__setitem__(len(self), (bucket[0], total))
+    return children, decode
 
 
 def _decoded_children(rule: _Rule, decode: _Decode, code: int, total: int) -> list[IndexSubset]:
-    """One node's children, decoded in push order: the rule runs on a scratch bucket map that logs each push."""
-    log = _PushLog()
-    rule(code, total, log, [])
-    return [decode(child, child_sum) for child, child_sum in log.values()]
+    """One node's children, grouped by sum in the order their buckets opened.
+
+    The rule runs on a scratch bucket map. Each child's cached_sum is its
+    bucket's sum, an offset from the trusted total, not the sum its indices
+    decode to.
+    """
+    buckets: dict[int, list] = {}
+    rule(code, total, buckets, [])
+    return [decode(child)._replace(cached_sum=key) for key, bucket in buckets.items() for child in bucket]
 
 
 def binheap_root(s: ScaledSet) -> IndexSubset:
@@ -118,6 +115,8 @@ def binheap_children(node: IndexSubset, s: ScaledSet) -> list[IndexSubset]:
     sorted set; the right child appends the successor. Both sums are >= the
     node's sum. A node whose maximum element is the last one has no children.
     This view encodes the node, runs the solver's mask rule and decodes.
+    The left sum is always below the right one, since scaled values are at
+    least 1, so the bucket order is already left then right.
 
     A node whose indices are not one or more ints increasing strictly
     within [0, N) raises InputError. Its cached_sum is trusted: the
@@ -126,7 +125,7 @@ def binheap_children(node: IndexSubset, s: ScaledSet) -> list[IndexSubset]:
     checked = tuple(_checked_indices(node.indices, s.size))
     if not checked:
         raise InputError(f"{node} is not a node of the power-set tree of {s.size} values")
-    return _decoded_children(_binheap_rule(s.scaled_values), _binheap_decode, _mask_of(checked), node.cached_sum)
+    return _decoded_children(*_binheap_codec(s.scaled_values), _mask_of(checked), node.cached_sum)
 
 
 class Frontier:
@@ -153,10 +152,11 @@ class Frontier:
     child with its parent's sum joins its tail, and it is dropped once
     drained, before the next smallest sum is popped off the heap. The
     pending count is the cursor's bucket past head plus every bucket in
-    sums. The memo holds each popped code and its sum; a code becomes an
-    IndexSubset only when select returns its rank. Expansion never reads
-    the memo, so it can drop a prefix: ranks up to base are forgotten, and
-    nodes_expanded is base plus the memo's length.
+    sums. The memo holds each popped code, and only the code: a code
+    becomes an IndexSubset, its sum derived from its indices, only when
+    select returns its rank. Expansion never reads the memo, so it can drop
+    a prefix: ranks up to base are forgotten, and nodes_expanded is base
+    plus the memo's length.
 
     A frontier that solve or solve_positive builds for its own rank search,
     and never hands out, forgets: whenever a probe rises above the previous
@@ -170,15 +170,15 @@ class Frontier:
     every rank in any order.
 
     Frontier(root, expand) runs the same loop over IndexSubset nodes: each
-    node is its own code, and select returns the very objects expand gave.
-    The coded rules are heap-ordered by construction, because scaled values
-    are sorted; this adapter takes its tree from outside code, so it checks
-    each expanded node's children first and raises InputError for a child
-    whose sum is below its parent's, before any child is filed. It is
-    internal and off the solver's path: only the tests and the benchmark's
-    layer replica build one, over subtree_children or binheap_children. It
-    retires, with the power-set view, once the replica runs on the coded
-    rules.
+    node is its own code, decode is the identity, and select returns the
+    very objects expand gave. The coded rules are heap-ordered by
+    construction, because scaled values are sorted; this adapter takes its
+    tree from outside code, so it checks each expanded node's children
+    first and raises InputError for a child whose sum is below its
+    parent's, before any child is filed. It is internal and off the
+    solver's path: only the tests and the benchmark's layer replica build
+    one, over subtree_children or binheap_children. It retires, with the
+    power-set view, once the replica runs on the coded rules.
 
     A Frontier is single-owner mutable state: concurrent searches over the
     same scaled set must each build their own.
@@ -199,11 +199,11 @@ class Frontier:
                 else:
                     bucket.append(child)
 
-        self._start(root, root.cached_sum, rule, lambda node, _: node, None, False)
+        self._start(root, root.cached_sum, rule, lambda node: node, None, False)
 
     @classmethod
     def _coded(cls, code: int, total: int, rule: _Rule, decode: _Decode, size: int, forgets: bool) -> Frontier:
-        """A frontier over int codes of a tree of size subsets; decode(code, sum) gives the subset.
+        """A frontier over int codes of a tree of size subsets; decode(code) gives the subset.
 
         forgets is True only for the solver's own rank-search frontiers.
         """
@@ -221,7 +221,6 @@ class Frontier:
         self._base = 0  # ranks 1..base are forgotten; the memo holds ranks base+1 onward
         self._probe = 0 if forgets else None  # the previous rank selected, on a frontier that forgets
         self._popped: list = []
-        self._popped_sums: list[int] = []
 
     @property
     def nodes_expanded(self) -> int:
@@ -253,12 +252,12 @@ class Frontier:
             raise InputError(f"rank must be an int of at least 1, got {k!r}")
         if self._size is not None and k > self._size:
             raise InputError(f"rank {k} exceeds the {self._size} subsets in this tree")
-        popped, popped_sums, base, probe = self._popped, self._popped_sums, self._base, self._probe
+        popped, base, probe = self._popped, self._base, self._probe
         if k <= base:
             raise InputError(f"rank {k} was forgotten: this rank search's frontier keeps only ranks above {base}")
         if probe is not None:
             if k > probe:
-                del popped[: probe - base], popped_sums[: probe - base]
+                del popped[: probe - base]
                 self._base = base = probe
             self._probe = k
         if k > base + len(popped):
@@ -276,10 +275,9 @@ class Frontier:
                     rule(code, total, buckets, sums)
                     head += 1
                     popped.append(code)
-                    popped_sums.append(total)
             finally:
                 self._cursor = bucket, head, total
-        return self._decode(popped[k - 1 - base], popped_sums[k - 1 - base])
+        return self._decode(popped[k - 1 - base])
 
 
 def binheap_frontier(s: ScaledSet) -> Frontier:
@@ -290,8 +288,7 @@ def binheap_frontier(s: ScaledSet) -> Frontier:
 def _binheap_frontier(s: ScaledSet, forgets: bool) -> Frontier:
     """binheap_frontier, or with forgets=True the solver's rank-search frontier that forgets (see Frontier)."""
     root = 1  # the mask of {0}
-    rule = _binheap_rule(s.scaled_values)
-    return Frontier._coded(root, s.scaled_values[0], rule, _binheap_decode, (1 << s.size) - 1, forgets)
+    return Frontier._coded(root, s.scaled_values[0], *_binheap_codec(s.scaled_values), (1 << s.size) - 1, forgets)
 
 
 def lower_bound_rank_search(
@@ -306,8 +303,11 @@ def lower_bound_rank_search(
     equality, which stays correct when several subsets share a sum. Each
     probed rank is appended to rank_log, after whatever it already holds.
     Returns the match (or None) and this call's number of rank probes,
-    which is at most ceil(log2(total)) + 1.
+    which is at most ceil(log2(total)) + 1. A total that is not an int of
+    at least 1 raises InputError before any probe.
     """
+    if type(total) is not int or total < 1:
+        raise InputError(f"total must be an int of at least 1, got {total!r}")
     start = len(rank_log)
     lo, hi = 1, total
     while lo < hi:

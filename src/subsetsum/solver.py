@@ -156,9 +156,9 @@ def solve_positive(input_set: InputSet) -> SolveOutcome:
     found need not have minimum cardinality. stats.orders holds the search
     as one record of order 0.
     """
-    if min(input_set.values) <= 0:
-        raise InputError("solve_positive needs strictly positive values; use solve instead")
     started = time.perf_counter_ns()
     s = normalize(input_set)
+    if s.offset:
+        raise InputError("solve_positive needs strictly positive values; use solve instead")
     found, record = _rank_search(_binheap_frontier(s, True), 0, input_set.target)
     return _outcome(input_set, s, found, [record], started)

@@ -22,7 +22,7 @@ from heapq import heappush
 from typing import Callable, Sequence
 
 from .model import IndexSubset, InputError, ScaledSet, _check_length, _checked_indices
-from .powerset import Frontier, _Decode, _decoded_children, _indices_of, _mask_of, _Rule
+from .powerset import Frontier, _Decode, _decoded_children, _indices_and_sum, _mask_of, _Rule
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,8 +52,9 @@ def _subtree_codec(scaled: Sequence[int]) -> tuple[Callable[[int, int], int], _R
     the bit just past the run: the child's mask is mask ^ 1 << i | 1 << past,
     its sum gains scaled[past] - scaled[i], and its min_index is i + 1. Only
     bits at or above the node's min_index advance, and a run that already
-    ends on the last index has no child. decode(code, sum) gives the
-    IndexSubset, whose min_modified_pos counts the set bits below min_index.
+    ends on the last index has no child. decode(code) gives the IndexSubset,
+    its sum derived from its indices, and its min_modified_pos counts the
+    set bits below min_index.
     """
     size = len(scaled)
     width = size.bit_length()
@@ -82,9 +83,9 @@ def _subtree_codec(scaled: Sequence[int]) -> tuple[Callable[[int, int], int], _R
                 else:
                     bucket.append((mask ^ 1 << i | 1 << past) << width | i + 1)
 
-    def decode(code: int, total: int) -> IndexSubset:
+    def decode(code: int) -> IndexSubset:
         mask = code >> width
-        return IndexSubset(_indices_of(mask), total, (mask & (1 << (code & low)) - 1).bit_count())
+        return IndexSubset(*_indices_and_sum(mask, scaled), (mask & (1 << (code & low)) - 1).bit_count())
 
     return encode, children, decode
 
@@ -107,6 +108,9 @@ def subtree_children(node: IndexSubset, tree: SubsetTree) -> list[IndexSubset]:
     that run: the sum gains the value just past the run and loses the run's
     first value. A run that already ends on the last index has no child.
     This view encodes the node, runs the solver's code rule and decodes.
+    The rule files siblings by sum, and each sibling advanced its own
+    position, so one sort on min_modified_pos, descending, restores the
+    order above.
 
     A node whose indices are not n ints increasing strictly within [0, N),
     or whose min_modified_pos is not an int in [0, n), raises InputError.
@@ -118,7 +122,8 @@ def subtree_children(node: IndexSubset, tree: SubsetTree) -> list[IndexSubset]:
     if len(checked) != tree.n or not (type(min_pos) is int and 0 <= min_pos < tree.n):
         raise InputError(f"{node} is not a node of the tree of {tree.n}-subsets of {size} values")
     encode, children, decode = _subtree_codec(tree.scaled.scaled_values)
-    return _decoded_children(children, decode, encode(_mask_of(checked), checked[min_pos]), total)
+    found = _decoded_children(children, decode, encode(_mask_of(checked), checked[min_pos]), total)
+    return sorted(found, key=lambda child: child.min_modified_pos, reverse=True)
 
 
 def subtree_frontier(tree: SubsetTree) -> Frontier:

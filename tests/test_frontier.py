@@ -64,8 +64,17 @@ def _random_sets():
         yield tuple(rng.randint(-20, 20) for _ in range(rng.randint(1, 10)))
 
 
+# Values near the 64-bit ends: scaled values pass 2^64 and so do their sums,
+# which decode derives from the indices and the views offset from the root.
+_WIDE_SETS = [
+    (-(2**63), 2**63 - 1, -(2**63) + 1, 2**63 - 2, 0, 1),
+    (-(2**63), -(2**63), 2**63 - 1, 2**63 - 1, 2**62, -5, 7),
+    (2**63 - 1, 2**63 - 2, 2**63 - 3, 2**62 + 1, 1),
+]
+
+
 @pytest.mark.parametrize(
-    "values", [(3,) * 8, (1, 1, 2, 2, 2, 3, 3, 4), *_random_sets()], ids=str
+    "values", [(3,) * 8, (1, 1, 2, 2, 2, 3, 3, 4), *_random_sets(), *_WIDE_SETS], ids=str
 )
 def test_coded_and_view_frontiers_agree_at_every_rank(values):
     s = normalize(InputSet(values, 0))
@@ -165,7 +174,7 @@ def _assert_bucket_layout(frontier, produced, k):
     assert all(buckets[key] for key in sums), k
     pending = [(code, total) for code in bucket[head:]]
     pending += [(code, key) for key in sums for code in buckets[key]]
-    memo = list(zip(frontier._popped, frontier._popped_sums, strict=True))
+    memo = [(code, frontier._decode(code).cached_sum) for code in frontier._popped]
     assert Counter(pending + memo) == Counter(produced), k
 
 

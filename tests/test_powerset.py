@@ -104,6 +104,14 @@ class TestSearch:
         assert rank_log == [99, 4, 6, 5, 5]
         assert probes == 4
 
+    @pytest.mark.parametrize("total", [0, -5, True, 2.0], ids=repr)
+    def test_empty_or_non_int_range_is_refused_before_any_probe(self, total):
+        frontier = binheap_frontier(ScaledSet((1, 2, 3), 0))
+        rank_log = []
+        with pytest.raises(InputError, match="^total must be an int of at least 1"):
+            lower_bound_rank_search(frontier, total, 1, rank_log)
+        assert rank_log == [] and frontier.nodes_expanded == 0
+
     def test_minimum_is_root(self):
         outcome = solve_positive(InputSet((2, 5, 7), 2))
         assert outcome.subset == (2,)

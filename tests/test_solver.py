@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -191,6 +192,17 @@ class TestSearchRecords:
         # so an out-list passed positionally cannot switch the window off.
         with pytest.raises(TypeError):
             call(InputSet((2, 5, 7, 11), 18), [])
+
+    @pytest.mark.parametrize("call", [solve, solve_positive])
+    @pytest.mark.parametrize(
+        "instance",
+        [SimpleNamespace(values=(1, 2), target=True), SimpleNamespace(values=(1, 2), target=3.0), ((1, 2), 3)],
+        ids=["bool target", "float target", "tuple"],
+    )
+    def test_anything_but_an_input_set_is_refused(self, call, instance):
+        # A look-alike would skip InputSet's checks on its values and target.
+        with pytest.raises(InputError, match="^expected an InputSet"):
+            call(instance)
 
 
 @given(instances)

@@ -101,6 +101,15 @@ class TestChildren:
         children = subtree_children(IndexSubset((0, 1), 100, 0), tree)
         assert [(c.indices, c.cached_sum) for c in children] == [((0, 2), 101), ((1, 2), 105)]
 
+    def test_siblings_tied_on_sum_keep_position_order(self):
+        # Siblings at positions 2 and 0 both sum to 32, so the rule files them
+        # in one bucket, and position 1 (sum 36) in its own; the view must
+        # still list them from the last position down, not bucket by bucket.
+        tree = SubsetTree(ScaledSet((1, 2, 10, 15, 20, 21), 0), 3)
+        children = subtree_children(IndexSubset((0, 2, 4), 31, 0), tree)
+        assert [c.min_modified_pos for c in children] == [2, 1, 0]
+        assert [c.cached_sum for c in children] == [32, 36, 32]
+
     def test_child_positions_never_below_parents(self):
         s = ScaledSet(tuple(sorted(random.Random(2).randint(1, 30) for _ in range(8))), 0)
         tree = SubsetTree(s, 4)
