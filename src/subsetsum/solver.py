@@ -158,7 +158,7 @@ def solve_positive(input_set: InputSet) -> SolveOutcome:
     """
     started = time.perf_counter_ns()
     s = normalize(input_set)
-    if s.offset:
+    if s.sorted_values[0] <= 0:
         raise InputError("solve_positive needs strictly positive values; use solve instead")
     found, record = _rank_search(_binheap_frontier(s, True), 0, input_set.target)
     return _outcome(input_set, s, found, [record], started)
