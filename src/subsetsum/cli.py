@@ -23,6 +23,8 @@ from typing import Iterable
 
 from .checks import check_tree
 from .model import (
+    I64_MAX,
+    I64_MIN,
     CapacityError,
     InputError,
     InputSet,
@@ -177,14 +179,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
     unreachable mode it is the sum of the positive values plus one, which no
     subset can reach, so every length is searched to exhaustion (the
     reachable-window shortcut is disabled there so the full probing cost is
-    what gets measured).
+    what gets measured). A range whose values or targets can leave 64-bit
+    signed integers is refused before the header is printed.
     """
     sizes = _parse_sizes(args.n)
     lo, hi = _parse_value_range(args.range)
     if args.trials < 1:
         raise InputError("--trials must be at least 1")
-    rng = random.Random(args.seed)
     unreachable = args.target_mode == "unreachable"
+    largest = sizes[-1]  # the targets' bounds grow with n
+    targets = (1, largest * max(hi, 0) + 1) if unreachable else (largest * lo, largest * hi)
+    if min(lo, *targets) < I64_MIN or max(hi, *targets) > I64_MAX:
+        raise InputError(f"--range {lo}:{hi} at n={largest} draws values or targets outside 64-bit signed integers")
+    rng = random.Random(args.seed)
     print("n,trial,target,found,orders,probes_total,nodes_expanded,elapsed_ns")
     for n in sizes:
         for trial in range(args.trials):
@@ -235,7 +242,7 @@ def _selftest_trees(rng: random.Random, max_n: int) -> list[bool]:
     """
     failures: dict[str, str] = {}
     for size in range(1, max_n + 1):
-        s = ScaledSet(tuple(sorted(rng.randint(1, 40) for _ in range(size))), 0)
+        s = ScaledSet(rng.randint(1, 40) for _ in range(size))
         where = f"set={list(s.scaled_values)}"
         trees = [("powerset", where, s)]
         trees += [("subset-tree", f"{where} n={n}", SubsetTree(s, n)) for n in range(1, size + 1)]
@@ -329,18 +336,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fuse_set_flag(argv: list[str]) -> list[str]:
-    """Rewrite "--set VALUE" as "--set=VALUE".
+def _fuse_dash_values(argv: list[str]) -> list[str]:
+    """Rewrite "--set VALUE" as "--set=VALUE" and "--range VALUE" as "--range=VALUE".
 
-    Value lists such as "-7,-3,-2,5,8" start with a dash without looking
-    like a plain negative number, so argparse would otherwise read them as
-    an unknown flag.
+    Value lists such as "-7,-3,-2,5,8" and ranges such as "-50:50" start
+    with a dash without looking like a plain negative number, so argparse
+    would otherwise read them as an unknown flag.
     """
     out: list[str] = []
     i = 0
     while i < len(argv):
-        if argv[i] == "--set" and i + 1 < len(argv):
-            out.append(f"--set={argv[i + 1]}")
+        if argv[i] in ("--set", "--range") and i + 1 < len(argv):
+            out.append(f"{argv[i]}={argv[i + 1]}")
             i += 2
         else:
             out.append(argv[i])
@@ -353,7 +360,7 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_fuse_set_flag(list(argv)))
+        args = parser.parse_args(_fuse_dash_values(list(argv)))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

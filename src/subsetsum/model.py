@@ -29,13 +29,14 @@ I64_MAX = 2**63 - 1
 class InputError(ValueError):
     """An argument violates the input contract.
 
-    That covers an instance that is not an InputSet, input values and
-    targets that are not 64-bit signed integers, a malformed scaled set, a
-    subset length that is not an int in [1, N], a rank that is not an int
-    in [1, tree size], a rank-search total that is not an int of at least
-    1, a child whose sum is below its parent's in Frontier(root, expand),
-    and a rank that one of the solver's own rank-search frontiers has
-    forgotten (those frontiers are never handed out, see Frontier).
+    That covers an instance that is not an InputSet, InputSet or ScaledSet
+    values that are not a nonempty iterable of 64-bit signed integers, a
+    target that is not one, a subset length that is not an int in [1, N],
+    a rank that is not an int in [1, tree size], a rank-search total that
+    is not an int of at least 1, a child whose sum is below its parent's
+    in Frontier(root, expand), and a rank that one of the solver's own
+    rank-search frontiers has forgotten (those frontiers are never handed
+    out, see Frontier).
     """
 
 
@@ -81,28 +82,28 @@ def _i64_values(values: object, what: str) -> tuple[int, ...]:
     return values
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ScaledSet:
-    """Sorted original values plus the offset making every scaled value >= 1.
+    """Values sorted ascending, plus the offset making every scaled value >= 1.
 
-    scaled_values[i] == sorted_values[i] + offset, with offset == max(0, 1 - min).
-    A set containing zero or negative values is therefore shifted just far
-    enough to become strictly positive.
+    ScaledSet(values) takes 64-bit signed ints in any order, duplicates
+    allowed; anything else raises InputError. It sorts them and derives the
+    offset, the smallest nonnegative shift that lifts the minimum to 1, so
+    scaled_values[i] == sorted_values[i] + offset. A set containing zero or
+    negative values is therefore shifted just far enough to become strictly
+    positive, and an already-positive set keeps offset 0.
     """
 
     sorted_values: tuple[int, ...]
     offset: int
-    scaled_values: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    scaled_values: tuple[int, ...] = field(repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        values = _i64_values(self.sorted_values, "scaled set")
+    def __init__(self, values: Iterable[int]) -> None:
+        values = tuple(sorted(_i64_values(values, "scaled set")))
+        offset = max(0, 1 - values[0])
         object.__setattr__(self, "sorted_values", values)
-        if any(a > b for a, b in zip(values, values[1:])):
-            raise InputError("sorted_values must be nondecreasing")
-        expected = max(0, 1 - values[0])
-        if type(self.offset) is not int or self.offset != expected:
-            raise InputError(f"offset {self.offset} differs from max(0, 1 - min) = {expected}")
-        object.__setattr__(self, "scaled_values", tuple(v + self.offset for v in values))
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "scaled_values", tuple(v + offset for v in values))
 
     @property
     def size(self) -> int:
@@ -125,15 +126,14 @@ class IndexSubset(NamedTuple):
 
 
 def normalize(input_set: InputSet) -> ScaledSet:
-    """Sort the input values and shift them into a strictly positive scaled set.
+    """The input's values as a ScaledSet: sorted and shifted strictly positive.
 
     Deterministic for a given input. Anything but an InputSet raises
     InputError, so its checks cannot be skipped.
     """
     if not isinstance(input_set, InputSet):
         raise InputError(f"expected an InputSet, got {input_set!r}")
-    values = tuple(sorted(input_set.values))
-    return ScaledSet(values, max(0, 1 - values[0]))
+    return ScaledSet(input_set.values)
 
 
 def unscale(subset: IndexSubset, s: ScaledSet) -> tuple[int, ...]:

@@ -91,16 +91,17 @@ def _binheap_codec(scaled: Sequence[int]) -> tuple[_Rule, _Decode]:
     return children, decode
 
 
-def _decoded_children(rule: _Rule, decode: _Decode, code: int, total: int) -> list[IndexSubset]:
-    """One node's children, grouped by sum in the order their buckets opened.
+def _decoded_children(rule: _Rule, decode: _Decode, code: int) -> list[IndexSubset]:
+    """One node's children as decode gives them, grouped by sum in the order their buckets opened.
 
-    The rule runs on a scratch bucket map. Each child's cached_sum is its
-    bucket's sum, an offset from the trusted total, not the sum its indices
-    decode to.
+    The rule runs on a scratch bucket map from a sum of 0, so a bucket's key
+    is its children's sum less the node's. Only differences between sums
+    group and order the buckets, and each child's sum is the one decode
+    derives from its indices.
     """
     buckets: dict[int, list] = {}
-    rule(code, total, buckets, [])
-    return [decode(child)._replace(cached_sum=key) for key, bucket in buckets.items() for child in bucket]
+    rule(code, 0, buckets, [])
+    return [decode(child) for bucket in buckets.values() for child in bucket]
 
 
 def binheap_root(s: ScaledSet) -> IndexSubset:
@@ -119,13 +120,13 @@ def binheap_children(node: IndexSubset, s: ScaledSet) -> list[IndexSubset]:
     least 1, so the bucket order is already left then right.
 
     A node whose indices are not one or more ints increasing strictly
-    within [0, N) raises InputError. Its cached_sum is trusted: the
-    children's sums are offsets from it.
+    within [0, N) raises InputError. Its cached_sum is not read: each
+    child's sum is derived from the child's indices.
     """
     checked = tuple(_checked_indices(node.indices, s.size))
     if not checked:
         raise InputError(f"{node} is not a node of the power-set tree of {s.size} values")
-    return _decoded_children(*_binheap_codec(s.scaled_values), _mask_of(checked), node.cached_sum)
+    return _decoded_children(*_binheap_codec(s.scaled_values), _mask_of(checked))
 
 
 class Frontier:

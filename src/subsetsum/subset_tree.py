@@ -114,15 +114,16 @@ def subtree_children(node: IndexSubset, tree: SubsetTree) -> list[IndexSubset]:
 
     A node whose indices are not n ints increasing strictly within [0, N),
     or whose min_modified_pos is not an int in [0, n), raises InputError.
-    Its cached_sum is trusted: the children's sums are offsets from it.
+    Its cached_sum is not read: each child's sum is derived from the
+    child's indices.
     """
-    indices, total, min_pos = node
+    indices, _, min_pos = node
     size = tree.scaled.size
     checked = tuple(_checked_indices(indices, size))
     if len(checked) != tree.n or not (type(min_pos) is int and 0 <= min_pos < tree.n):
         raise InputError(f"{node} is not a node of the tree of {tree.n}-subsets of {size} values")
     encode, children, decode = _subtree_codec(tree.scaled.scaled_values)
-    found = _decoded_children(children, decode, encode(_mask_of(checked), checked[min_pos]), total)
+    found = _decoded_children(children, decode, encode(_mask_of(checked), checked[min_pos]))
     return sorted(found, key=lambda child: child.min_modified_pos, reverse=True)
 
 

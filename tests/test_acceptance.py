@@ -133,7 +133,7 @@ def test_criterion_4_subtree_completeness_and_heap_order():
     rng = random.Random(4)
     trees_checked = 0
     for size in range(1, 11):
-        s = ScaledSet(tuple(sorted(rng.randint(1, 40) for _ in range(size))), 0)
+        s = ScaledSet(tuple(sorted(rng.randint(1, 40) for _ in range(size))))
         for n in range(1, size + 1):
             tree = SubsetTree(s, n)
             seen = set()
@@ -156,7 +156,7 @@ def test_criterion_5_selection_matches_enumeration():
     rng = random.Random(5)
     ranks_checked = 0
     for size in range(1, 11):
-        s = ScaledSet(tuple(sorted(rng.randint(1, 40) for _ in range(size))), 0)
+        s = ScaledSet(tuple(sorted(rng.randint(1, 40) for _ in range(size))))
         for n in range(1, size + 1):
             tree = SubsetTree(s, n)
             expected = enumerate_sorted_sums(s, n)
@@ -165,7 +165,7 @@ def test_criterion_5_selection_matches_enumeration():
             assert got == expected, (s.scaled_values, n)
             ranks_checked += len(got)
     for size in range(1, 13):
-        s = ScaledSet(tuple(sorted(rng.randint(1, 40) for _ in range(size))), 0)
+        s = ScaledSet(tuple(sorted(rng.randint(1, 40) for _ in range(size))))
         expected = enumerate_sorted_sums(s)
         frontier = binheap_frontier(s)
         got = [frontier.select(k).cached_sum for k in range(1, 2**size)]

@@ -216,6 +216,11 @@ class TestSolveCommand:
         assert "not an integer" in err
 
 
+def _without_elapsed(csv):
+    """The bench CSV's lines without the wall-clock elapsed_ns column, the only one that varies."""
+    return [line.rsplit(",", 1)[0] for line in csv.strip().splitlines()]
+
+
 class TestBenchCommand:
     def test_row_count_matches_trials(self, capsys):
         code, out, _ = run(capsys, "bench", "--n", "8", "--trials", "3", "--seed", "7")
@@ -235,13 +240,17 @@ class TestBenchCommand:
             assert fields[4] == "5"
 
     def test_deterministic_for_fixed_seed(self, capsys):
-        # byte-identical apart from the wall-clock elapsed_ns column
-        def stripped(text):
-            return [line.rsplit(",", 1)[0] for line in text.strip().splitlines()]
-
         _, first, _ = run(capsys, "bench", "--n", "10", "--seed", "7", "--trials", "5")
         _, second, _ = run(capsys, "bench", "--n", "10", "--seed", "7", "--trials", "5")
-        assert stripped(first) == stripped(second)
+        assert _without_elapsed(first) == _without_elapsed(second)
+
+    def test_spaced_range_reads_as_the_fused_form(self, capsys):
+        # "-50:50" starts with a dash, so argparse alone takes it for a flag.
+        code, spaced, _ = run(capsys, "bench", "--n", "4", "--trials", "3", "--range", "-50:50")
+        assert code == 0
+        _, fused, _ = run(capsys, "bench", "--n", "4", "--trials", "3", "--range=-50:50")
+        assert _without_elapsed(spaced) == _without_elapsed(fused)
+        assert len(spaced.splitlines()) == 4
 
     def test_size_range(self, capsys):
         code, out, _ = run(capsys, "bench", "--n", "3..5", "--trials", "2", "--seed", "1")
@@ -266,6 +275,35 @@ class TestBenchCommand:
     def test_invalid_flags_exit_two(self, capsys, argv):
         code, _, _ = run(capsys, *argv)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--range", "9223372036854775800:9223372036854775807"),
+            ("--range", "4611686018427387904:9223372036854775807", "--target-mode", "unreachable"),
+            ("--range", "-9223372036854775808:-9223372036854775800"),
+            ("--range", "0:9223372036854775808", "--target-mode", "unreachable"),
+        ],
+        ids=["random-above", "unreachable-above", "random-below", "value-above"],
+    )
+    def test_range_leaving_64_bits_is_refused_before_the_header(self, capsys, argv):
+        code, out, err = run(capsys, "bench", "--n", "3", "--trials", "1", *argv)
+        assert (code, out) == (2, "")
+        assert "outside 64-bit signed integers" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--range=-4611686018427387904:4611686018427387903",),
+            ("--range=-9223372036854775808:4611686018427387903", "--target-mode", "unreachable"),
+        ],
+        ids=["random", "unreachable"],
+    )
+    def test_range_at_the_64_bit_edge_is_accepted(self, capsys, argv):
+        # At n=2 the extreme targets are -2^63 and 2^63 - 2, or 2^63 - 1 when unreachable.
+        code, out, _ = run(capsys, "bench", "--n", "2", "--trials", "2", *argv)
+        assert code == 0
+        assert len(out.splitlines()) == 3
 
 
 class TestSelftestCommand:

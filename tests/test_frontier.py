@@ -49,12 +49,15 @@ def _frontier_pairs(s):
     yield binheap_frontier(s), Frontier(binheap_root(s), partial(binheap_children, s=s)), (1 << s.size) - 1
 
 
-def _assert_agree(coded, viewed, ranks):
+def _assert_agree(coded, viewed, ranks, scaled):
+    # Both sides decode their sums from their indices, so the sum is also
+    # checked against one taken here.
     for k in ranks:
         got, expected = coded.select(k), viewed.select(k)
         assert (got.indices, got.cached_sum, got.min_modified_pos) == (
             expected.indices, expected.cached_sum, expected.min_modified_pos
         ), k
+        assert got.cached_sum == sum(scaled[i] for i in got.indices), k
     assert coded.nodes_expanded == viewed.nodes_expanded
 
 
@@ -65,7 +68,7 @@ def _random_sets():
 
 
 # Values near the 64-bit ends: scaled values pass 2^64 and so do their sums,
-# which decode derives from the indices and the views offset from the root.
+# which decode derives from the indices on both sides.
 _WIDE_SETS = [
     (-(2**63), 2**63 - 1, -(2**63) + 1, 2**63 - 2, 0, 1),
     (-(2**63), -(2**63), 2**63 - 1, 2**63 - 1, 2**62, -5, 7),
@@ -79,17 +82,17 @@ _WIDE_SETS = [
 def test_coded_and_view_frontiers_agree_at_every_rank(values):
     s = normalize(InputSet(values, 0))
     for coded, viewed, total in _frontier_pairs(s):
-        _assert_agree(coded, viewed, range(1, total + 1))
+        _assert_agree(coded, viewed, range(1, total + 1), s.scaled_values)
 
 
 def test_coded_pairs_agree_past_eight_bit_indices():
     # Two small values, then 298 large ones: every pair holding index 0 or 1
     # sums below the rest, so the first 600 ranks reach indices up to 299.
-    s = ScaledSet((1, 2) + tuple(range(10**9, 10**9 + 298)), 0)
+    s = ScaledSet((1, 2) + tuple(range(10**9, 10**9 + 298)))
     tree = SubsetTree(s, 2)
     coded = subtree_frontier(tree)
     viewed = Frontier(subtree_root(s, 2), partial(subtree_children, tree=tree))
-    _assert_agree(coded, viewed, range(1, 3001))
+    _assert_agree(coded, viewed, range(1, 3001), s.scaled_values)
     # Every pair at most once, in sum order: a min_index that overflows its
     # field lets a node advance bits below it and so repeat a pair.
     pairs = [coded.select(k) for k in range(1, 3001)]
@@ -108,7 +111,7 @@ def test_solve_finds_planted_pair_among_300_values():
 
 
 def test_rank_past_the_end_raises_before_any_expansion():
-    s = ScaledSet(tuple(range(1, 18)), 0)
+    s = ScaledSet(tuple(range(1, 18)))
     frontier = binheap_frontier(s)
     with pytest.raises(InputError, match=r"^rank 131072 exceeds the 131071 subsets in this tree$"):
         frontier.select(2**17)
@@ -120,7 +123,7 @@ def test_rank_past_the_end_raises_before_any_expansion():
     assert frontier.nodes_expanded == 0
 
 
-_S5 = ScaledSet((1, 5, 6, 13, 16), 0)
+_S5 = ScaledSet((1, 5, 6, 13, 16))
 _FRONTIERS = {
     "subtree_frontier": lambda: subtree_frontier(SubsetTree(_S5, 2)),
     "binheap_frontier": lambda: binheap_frontier(_S5),

@@ -143,7 +143,7 @@ def test_solver_path_never_enters_the_view_layer(monkeypatch):
     monkeypatch.setattr(Frontier, "__init__", _fence("Frontier.__init__"))
     assert fenced == set(_VIEWS)
     with pytest.raises(AssertionError, match="entered subtree_root"):
-        checks.check_tree(subset_tree.SubsetTree(model.ScaledSet((1, 2, 3), 0), 2))
+        checks.check_tree(subset_tree.SubsetTree(model.ScaledSet((1, 2, 3)), 2))
 
     assert _behaviour(_instances()) == GOLDEN
     assert _behaviour(_large_instances()) == GOLDEN_N14

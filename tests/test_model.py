@@ -55,28 +55,30 @@ class TestNormalize:
 
 
 class TestScaledSet:
-    def test_rejects_unsorted_values(self):
-        with pytest.raises(InputError):
-            ScaledSet((5, 2, 7), 0)
-
-    def test_rejects_wrong_offset(self):
-        with pytest.raises(InputError):
-            ScaledSet((-1, 3), 0)
-        with pytest.raises(InputError):
-            ScaledSet((2, 5), 1)
+    def test_mixed_sign_set_gets_the_derived_offset(self):
+        assert ScaledSet((-1, 3)).offset == 2
+        assert ScaledSet((3, -1)).scaled_values == (1, 5)
+        assert ScaledSet((5, 2)).offset == 0
 
     @pytest.mark.parametrize(
-        "values, offset",
-        [((1.5, 2.5), 0), ((True, 2), 0), ((1, 2**63), 0), ((1, "2"), 0), ((1, 2), 0.0)],
-        ids=["float", "bool", "past-i64", "str", "float-offset"],
+        "values",
+        [(1.5, 2.5), (True, 2), (1, 2**63), (1, "2")],
+        ids=["float", "bool", "past-i64", "str"],
     )
-    def test_rejects_non_integer_values(self, values, offset):
+    def test_rejects_non_integer_values(self, values):
         with pytest.raises(InputError):
-            ScaledSet(values, offset)
+            ScaledSet(values)
 
     def test_scaled_accessor(self):
-        s = ScaledSet((-7, -3, -2, 5, 8), 8)
+        s = ScaledSet((-7, -3, -2, 5, 8))
         assert [s.scaled_values[i] for i in range(s.size)] == [1, 5, 6, 13, 16]
+
+
+@given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=12))
+def test_scaled_set_sorts_any_order_as_normalize_does(values):
+    s = ScaledSet(values)
+    assert s.sorted_values == tuple(sorted(values))
+    assert s == normalize(InputSet(tuple(values), 0))
 
 
 @pytest.mark.parametrize(
@@ -84,11 +86,11 @@ class TestScaledSet:
     [
         (lambda: InputSet(5, 3), "input set values must be iterable, got 5"),
         (lambda: InputSet(None, 3), "input set values must be iterable, got None"),
-        (lambda: ScaledSet(5, 0), "scaled set values must be iterable, got 5"),
+        (lambda: ScaledSet(5), "scaled set values must be iterable, got 5"),
         (lambda: InputSet((), 0), "input set must contain at least one value"),
-        (lambda: ScaledSet((), 0), "scaled set must contain at least one value"),
+        (lambda: ScaledSet(()), "scaled set must contain at least one value"),
         (lambda: InputSet((1, 2.5), 0), "value 2.5 is not a 64-bit signed integer"),
-        (lambda: ScaledSet((1, 2.5), 0), "value 2.5 is not a 64-bit signed integer"),
+        (lambda: ScaledSet((1, 2.5)), "value 2.5 is not a 64-bit signed integer"),
     ],
     ids=["int", "none", "scaled-int", "empty", "scaled-empty", "float", "scaled-float"],
 )

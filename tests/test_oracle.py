@@ -66,31 +66,31 @@ class TestBruteForce:
 
 class TestEnumerateSortedSums:
     def test_three_subsets_of_scaled_mixed_sign_set(self):
-        s = ScaledSet((1, 5, 6, 13, 16), 0)
+        s = ScaledSet((1, 5, 6, 13, 16))
         sums = enumerate_sorted_sums(s, 3)
         assert sums == [12, 19, 20, 22, 23, 24, 27, 30, 34, 35]
 
     def test_all_nonempty_subsets(self):
-        s = ScaledSet((2, 5, 7), 0)
+        s = ScaledSet((2, 5, 7))
         sums = enumerate_sorted_sums(s)
         assert sums == [2, 5, 7, 7, 9, 12, 14]
 
     def test_full_order_single_entry(self):
-        s = ScaledSet((3, 4, 9), 0)
+        s = ScaledSet((3, 4, 9))
         assert enumerate_sorted_sums(s, 3) == [16]
 
     def test_order_out_of_range(self):
         with pytest.raises(InputError, match="subset length"):
-            enumerate_sorted_sums(ScaledSet((1, 2), 0), 3)
+            enumerate_sorted_sums(ScaledSet((1, 2)), 3)
 
     def test_enumeration_cap(self):
-        s = ScaledSet(tuple(range(1, 22)), 0)
+        s = ScaledSet(tuple(range(1, 22)))
         with pytest.raises(CapacityError):
             enumerate_sorted_sums(s)
 
     @pytest.mark.parametrize("n", [None, 1, 2, 3, 4])
     def test_lengths_and_sortedness(self, n):
-        s = ScaledSet((1, 3, 3, 7), 0)
+        s = ScaledSet((1, 3, 3, 7))
         sums = enumerate_sorted_sums(s, n)
         expected = math.comb(4, n) if n is not None else 15
         assert len(sums) == expected

@@ -20,45 +20,50 @@ from subsetsum.checks import check_tree
 from subsetsum.powerset import binheap_children, binheap_root
 
 positive_sets = st.lists(st.integers(1, 50), min_size=1, max_size=9).map(
-    lambda vs: ScaledSet(tuple(sorted(vs)), 0)
+    lambda vs: ScaledSet(tuple(sorted(vs)))
 )
 
 
 class TestRoot:
     def test_root_is_smallest_singleton(self):
-        s = ScaledSet((2, 5, 7), 0)
+        s = ScaledSet((2, 5, 7))
         root = binheap_root(s)
         assert root.indices == (0,)
         assert root.cached_sum == 2
 
     def test_singleton_set(self):
-        root = binheap_root(ScaledSet((1,), 0))
+        root = binheap_root(ScaledSet((1,)))
         assert root.cached_sum == 1
 
     def test_scaled_mixed_sign_set(self):
-        root = binheap_root(ScaledSet((1, 5, 6, 13, 16), 0))
+        root = binheap_root(ScaledSet((1, 5, 6, 13, 16)))
         assert root.cached_sum == 1
 
 
 class TestChildren:
     def test_root_children(self):
-        s = ScaledSet((2, 5, 7), 0)
+        s = ScaledSet((2, 5, 7))
         left, right = binheap_children(binheap_root(s), s)
         assert left.indices == (1,) and left.cached_sum == 5
         assert right.indices == (0, 1) and right.cached_sum == 7
 
     def test_full_set_has_no_children(self):
-        s = ScaledSet((2, 5, 7), 0)
+        s = ScaledSet((2, 5, 7))
         node = binheap_children(binheap_children(binheap_root(s), s)[1], s)[1]
         assert node.indices == (0, 1, 2)
         assert binheap_children(node, s) == []
 
     def test_middle_singleton_children(self):
-        s = ScaledSet((2, 5, 7), 0)
+        s = ScaledSet((2, 5, 7))
         five = binheap_children(binheap_root(s), s)[0]
         left, right = binheap_children(five, s)
         assert left.indices == (2,) and left.cached_sum == 7
         assert right.indices == (1, 2) and right.cached_sum == 12
+
+    def test_cached_sum_is_not_read(self):
+        # A wrong cached_sum on the node: each child's sum is its own indices' sum.
+        children = binheap_children(IndexSubset((0,), 100), ScaledSet((2, 5, 7)))
+        assert [(c.indices, c.cached_sum) for c in children] == [((1,), 5), ((0, 1), 7)]
 
     @pytest.mark.parametrize(
         "node",
@@ -67,22 +72,22 @@ class TestChildren:
     )
     def test_non_node_is_refused(self, node):
         with pytest.raises(InputError):
-            binheap_children(node, ScaledSet((1, 2, 3, 4, 5), 0))
+            binheap_children(node, ScaledSet((1, 2, 3, 4, 5)))
 
 
 class TestKthSmallest:
     @pytest.mark.parametrize("k,expected_sum", [(1, 2), (4, 7), (7, 14)])
     def test_ranked_sums(self, k, expected_sum):
-        s = ScaledSet((2, 5, 7), 0)
+        s = ScaledSet((2, 5, 7))
         assert binheap_frontier(s).select(k).cached_sum == expected_sum
 
     @pytest.mark.parametrize("k", [0, -1, 8])
     def test_rank_out_of_range(self, k):
         with pytest.raises(InputError, match="rank"):
-            binheap_frontier(ScaledSet((2, 5, 7), 0)).select(k)
+            binheap_frontier(ScaledSet((2, 5, 7))).select(k)
 
     def test_ties_are_deterministic(self):
-        s = ScaledSet((2, 2, 3), 0)
+        s = ScaledSet((2, 2, 3))
         first = [binheap_frontier(s).select(k) for k in range(1, 8)]
         second = [binheap_frontier(s).select(k) for k in range(1, 8)]
         assert first == second
@@ -90,7 +95,7 @@ class TestKthSmallest:
 
 class TestSearch:
     def test_finds_unique_pair(self):
-        found, _ = lower_bound_rank_search(binheap_frontier(ScaledSet((2, 5, 7), 0)), 7, 9, [])
+        found, _ = lower_bound_rank_search(binheap_frontier(ScaledSet((2, 5, 7))), 7, 9, [])
         assert found is not None and found.indices == (0, 2)
 
     def test_absent_sum(self):
@@ -99,14 +104,14 @@ class TestSearch:
     def test_appends_to_a_nonempty_rank_log(self):
         # sorted sums of {2, 5, 7}: 2 5 7 7 9 12 14; target 9 is rank 5
         rank_log = [99]
-        found, probes = lower_bound_rank_search(binheap_frontier(ScaledSet((2, 5, 7), 0)), 7, 9, rank_log)
+        found, probes = lower_bound_rank_search(binheap_frontier(ScaledSet((2, 5, 7))), 7, 9, rank_log)
         assert found is not None and found.indices == (0, 2)
         assert rank_log == [99, 4, 6, 5, 5]
         assert probes == 4
 
     @pytest.mark.parametrize("total", [0, -5, True, 2.0], ids=repr)
     def test_empty_or_non_int_range_is_refused_before_any_probe(self, total):
-        frontier = binheap_frontier(ScaledSet((1, 2, 3), 0))
+        frontier = binheap_frontier(ScaledSet((1, 2, 3)))
         rank_log = []
         with pytest.raises(InputError, match="^total must be an int of at least 1"):
             lower_bound_rank_search(frontier, total, 1, rank_log)
@@ -117,7 +122,7 @@ class TestSearch:
         assert outcome.subset == (2,)
 
     def test_probe_count_bounded(self):
-        s = ScaledSet(tuple(sorted(random.Random(3).randint(1, 30) for _ in range(10))), 0)
+        s = ScaledSet(tuple(sorted(random.Random(3).randint(1, 30) for _ in range(10))))
         total = 2**10 - 1
         bound = math.ceil(math.log2(total)) + 1
         for target in range(0, sum(s.scaled_values) + 2):
@@ -139,7 +144,7 @@ class TestProperties:
     @pytest.mark.parametrize("size", range(1, 13))
     def test_completeness(self, size):
         values = tuple(sorted(random.Random(size).randint(1, 40) for _ in range(size)))
-        walk = check_tree(ScaledSet(values, 0))
+        walk = check_tree(ScaledSet(values))
         assert walk.total == 2**size - 1
         assert walk.complete, walk
 
@@ -166,7 +171,7 @@ class TestProperties:
         assert frontier.nodes_expanded == k
 
     def test_probe_reuse_resumes_expansion(self):
-        s = ScaledSet((2, 5, 7), 0)
+        s = ScaledSet((2, 5, 7))
         frontier = binheap_frontier(s)
         frontier.select(5)
         expanded_before = frontier.nodes_expanded

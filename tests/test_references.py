@@ -108,7 +108,7 @@ def _assert_same_children(got, expected):
 
 @pytest.mark.parametrize("values", list(_sets()), ids=str)
 def test_subtree_children_match_reference_on_every_node(values):
-    s = ScaledSet(values, 0)
+    s = ScaledSet(values)
     for n in range(1, len(values) + 1):
         tree = SubsetTree(s, n)
         nodes = _all_nodes(subtree_root(s, n), lambda node: reference_subtree_children(node, tree))
@@ -119,7 +119,7 @@ def test_subtree_children_match_reference_on_every_node(values):
 
 @pytest.mark.parametrize("values", list(_sets()), ids=str)
 def test_binheap_children_match_reference_on_every_node(values):
-    s = ScaledSet(values, 0)
+    s = ScaledSet(values)
     nodes = _all_nodes(binheap_root(s), lambda node: reference_binheap_children(node, s))
     assert len(nodes) == 2 ** len(values) - 1
     for node in nodes:
@@ -128,7 +128,7 @@ def test_binheap_children_match_reference_on_every_node(values):
 
 def _trees(values):
     """(root, expand, subsets) for each fixed-length tree and the power-set tree."""
-    s = ScaledSet(values, 0)
+    s = ScaledSet(values)
     for n in range(1, len(values) + 1):
         tree = SubsetTree(s, n)
         yield subtree_root(s, n), lambda node, tree=tree: subtree_children(node, tree), tree.total

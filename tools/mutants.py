@@ -117,8 +117,25 @@ MUTANTS = (
         "return self._decode(popped[k - 1 - base])", "return self._decode(popped[k - base])",
     ),
     Mutant(
+        "scaled-set-offset-one-short", "ScaledSet shifts the minimum to 0, not 1", "model.py",
+        "offset = max(0, 1 - values[0])", "offset = max(0, -values[0])",
+    ),
+    Mutant(
+        "scaled-set-unsorted", "ScaledSet keeps its values in the order given", "model.py",
+        'values = tuple(sorted(_i64_values(values, "scaled set")))', 'values = _i64_values(values, "scaled set")',
+    ),
+    Mutant(
+        "view-sums-from-zero", "the views keep each bucket's key as the child's sum", "powerset.py",
+        "return [decode(child) for bucket in buckets.values() for child in bucket]",
+        "return [decode(child)._replace(cached_sum=key) for key, bucket in buckets.items() for child in bucket]",
+    ),
+    Mutant(
         "equivalent-clear-low-bit", "control: clear the low bit with -= in place of ^=", "powerset.py",
         "mask ^= low", "mask -= low", equivalent=True,
+    ),
+    Mutant(
+        "equivalent-view-rule-from-one", "control: the views run the rule from a sum of 1", "powerset.py",
+        "rule(code, 0, buckets, [])", "rule(code, 1, buckets, [])", equivalent=True,
     ),
 )
 
