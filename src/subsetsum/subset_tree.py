@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from heapq import heappush
+from heapq import heappop, heappush
 from typing import Callable, Sequence
 
 from .model import IndexSubset, InputError, ScaledSet, _check_length, _checked_indices
@@ -47,12 +47,13 @@ def _subtree_codec(scaled: Sequence[int]) -> tuple[Callable[[int, int], int], _R
     encode(mask, min_index) packs a node as mask << width | min_index,
     where width = size.bit_length() holds any index and size itself; the
     root of the length-n tree is encode((1 << n) - 1, 0).
-    children is the one child rule, in descending bit order. Advancing the
-    run of consecutive set bits that starts at bit i clears bit i and sets
-    the bit just past the run: the child's mask is mask ^ 1 << i | 1 << past,
-    its sum gains scaled[past] - scaled[i], and its min_index is i + 1. Only
-    bits at or above the node's min_index advance, and a run that already
-    ends on the last index has no child. decode(code) gives the IndexSubset,
+    children is the one child rule (see _Rule), which visits each node's
+    bits in descending order. Advancing the run of consecutive set bits
+    that starts at bit i clears bit i and sets the bit just past the run:
+    the child's mask is mask ^ 1 << i | 1 << past, its sum gains
+    scaled[past] - scaled[i], and its min_index is i + 1. Only bits at or
+    above the node's min_index advance, and a run that already ends on the
+    last index has no child. decode(code) gives the IndexSubset,
     its sum derived from its indices, and its min_modified_pos counts the
     set bits below min_index.
     """
@@ -63,25 +64,36 @@ def _subtree_codec(scaled: Sequence[int]) -> tuple[Callable[[int, int], int], _R
     def encode(mask: int, min_index: int) -> int:
         return mask << width | min_index
 
-    def children(code: int, total: int, buckets: dict[int, list], sums: list[int]) -> None:
-        mask = code >> width
-        start = code & low
-        bits = mask >> start << start
-        after = -1  # the bit visited before i; -1 before the first, where no run continues
-        while bits:
-            i = bits.bit_length() - 1
-            bits ^= 1 << i
-            if after != i + 1:
-                past = i + 1  # the index just past the run that starts at i
-            after = i
-            if past < size:
-                child_sum = total + scaled[past] - scaled[i]
-                bucket = buckets.get(child_sum)
-                if bucket is None:
-                    buckets[child_sum] = [(mask ^ 1 << i | 1 << past) << width | i + 1]
-                    heappush(sums, child_sum)
-                else:
-                    bucket.append((mask ^ 1 << i | 1 << past) << width | i + 1)
+    def children(cursor: list, count: int, buckets: dict[int, list], sums: list[int], popped: list) -> None:
+        bucket, head, total = cursor
+        while True:
+            run = bucket[head : head + count] if head or len(bucket) > count else bucket
+            for code in run:
+                mask = code >> width
+                start = code & low
+                bits = mask >> start << start
+                after = -1  # the bit visited before i; -1 before the first, where no run continues
+                while bits:
+                    i = bits.bit_length() - 1
+                    bits ^= 1 << i
+                    if after != i + 1:
+                        past = i + 1  # the index just past the run that starts at i
+                    after = i
+                    if past < size:
+                        child_sum = total + scaled[past] - scaled[i]
+                        pending = buckets.get(child_sum)
+                        if pending is None:
+                            buckets[child_sum] = [(mask ^ 1 << i | 1 << past) << width | i + 1]
+                            heappush(sums, child_sum)
+                        else:
+                            pending.append((mask ^ 1 << i | 1 << past) << width | i + 1)
+            popped += run
+            count -= len(run)
+            if count <= 0:
+                break
+            total = heappop(sums)
+            bucket, head = buckets.pop(total), 0
+        cursor[:] = bucket, head + len(run), total
 
     def decode(code: int) -> IndexSubset:
         mask = code >> width

@@ -5,9 +5,10 @@ decode only the ranks select returns. Frontier(root, expand) over the
 views subtree_children/binheap_children runs the same loop over
 IndexSubset nodes. Both must give the same subset, sum and
 min_modified_pos at every rank, and a coded frontier must hold no tracked
-object per expanded node. Since both file children straight into the sum
-buckets, each select must also leave every code a rule produced exactly
-once pending or in the memo. The solver's own frontiers forget the ranks
+object per expanded node. Since each rule drains the sum buckets itself,
+a run of equal sums at a time, each select must also leave every code a
+rule produced exactly once pending or in the memo, and must expand exactly
+the nodes up to its rank. The solver's own frontiers forget the ranks
 its rank search has passed; public ones must still serve every rank in any
 order.
 """
@@ -156,29 +157,35 @@ def test_non_int_rank_is_refused_before_any_expansion(make, bad):
     assert frontier.select(2) == make().select(2)
 
 
-def _recording(frontier, produced):
-    """Wrap frontier's rule so each (code, sum) it files into a bucket is appended to produced."""
-    rule = frontier._rule
+def _produced(frontier, root):
+    """Every (code, sum) filed so far: the root, then each memoized node's children.
 
-    def recording(code, total, buckets, sums):
-        before = {key: len(bucket) for key, bucket in buckets.items()}
-        rule(code, total, buckets, sums)
-        for key, bucket in buckets.items():
-            produced.extend((child, key) for child in bucket[before.get(key, 0):])
+    Each node's children come from running the frontier's rule on that node
+    alone, from a one-code cursor into a scratch bucket map, so the record
+    does not depend on how many buckets one select drained.
+    """
+    produced = [root]
+    for code in frontier._popped:
+        buckets = {}
+        frontier._rule([[code], 0, frontier._decode(code).cached_sum], 1, buckets, [], [])
+        produced += [(child, key) for key, bucket in buckets.items() for child in bucket]
+    return produced
 
-    frontier._rule = recording
 
+def _assert_bucket_layout(frontier, root, k):
+    """Every produced code once, pending or in the memo; each registered sum once in sums, none below the cursor's.
 
-def _assert_bucket_layout(frontier, produced, k):
-    """Every produced code once, pending past the cursor or in the memo; each pending sum once in sums or current."""
+    The cursor's bucket has left the map; a registered bucket may sit at the
+    cursor's own sum, and no registered bucket is empty.
+    """
     buckets, sums, (bucket, head, total) = frontier._buckets, frontier._sums, frontier._cursor
-    assert buckets[total] is bucket and total not in sums, k
-    assert len(set(sums)) == len(sums) and set(buckets) == set(sums) | {total}, k
-    assert all(buckets[key] for key in sums), k
+    assert all(registered is not bucket for registered in buckets.values()), k
+    assert len(set(sums)) == len(sums) and set(buckets) == set(sums), k
+    assert all(buckets.values()) and all(key >= total for key in sums), k
     pending = [(code, total) for code in bucket[head:]]
     pending += [(code, key) for key in sums for code in buckets[key]]
     memo = [(code, frontier._decode(code).cached_sum) for code in frontier._popped]
-    assert Counter(pending + memo) == Counter(produced), k
+    assert Counter(pending + memo) == Counter(_produced(frontier, root)), k
 
 
 @pytest.mark.parametrize(
@@ -189,13 +196,31 @@ def test_every_code_is_pending_or_popped_after_each_select(values):
     for coded, viewed, total in _frontier_pairs(s):
         for frontier in (coded, viewed):
             root_bucket, _, root_sum = frontier._cursor
-            produced = [(root_bucket[0], root_sum)]
-            _recording(frontier, produced)
+            root = (root_bucket[0], root_sum)
             for k in range(1, total + 1):
                 frontier.select(k)
-                _assert_bucket_layout(frontier, produced, k)
+                _assert_bucket_layout(frontier, root, k)
             bucket, head, _ = frontier._cursor
-            assert frontier._sums == [] and head == len(bucket)
+            assert frontier._sums == [] and frontier._buckets == {} and head == len(bucket)
+
+
+@pytest.mark.parametrize("values", [(3,) * 8, (1, 1, 2, 2, 3, 3)], ids=str)
+def test_select_expands_exactly_k_nodes_on_tied_sums(values):
+    # A bucket longer than what a select still needs is sliced, never drained whole.
+    # Stepping one rank at a time from mid-bucket slices what is left of it.
+    s = normalize(InputSet(values, 0))
+    trees = [SubsetTree(s, n) for n in range(1, s.size + 1)]
+    makers = [partial(subtree_frontier, tree) for tree in trees] + [partial(binheap_frontier, s)]
+    totals = [tree.total for tree in trees] + [(1 << s.size) - 1]
+    for make, total in zip(makers, totals):
+        for k in range(1, total + 1):
+            frontier = make()
+            frontier.select(k)
+            assert frontier.nodes_expanded == k, (total, k)
+        stepped = make()
+        for k in range(1, total + 1):
+            stepped.select(k)
+            assert stepped.nodes_expanded == k, (total, k)
 
 
 def test_expanded_nodes_hold_no_tracked_objects():

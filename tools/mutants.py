@@ -1,7 +1,8 @@
 """Run the test suite against a fixed list of mutants of src/ and print a kill table.
 
-Each mutant is one named, exact-string edit to one file under src/subsetsum/.
-Every edit must match its file exactly once, checked for the whole list
+Each mutant is one named, exact-string edit to one file under src/subsetsum/,
+or a few such edits to the same file when it moves a statement. Every edit
+must match its file exactly once, checked for the whole list
 before any mutant runs, so a refactor that moves the code fails loudly and
 the list gets updated. For each mutant the script copies src/, tests/ and
 pyproject.toml to a temporary directory, applies the edit there and runs
@@ -44,9 +45,14 @@ class Mutant(NamedTuple):
     name: str
     what: str
     path: str  # relative to PACKAGE
-    old: str
-    new: str
+    old: str | tuple[str, ...]  # a tuple holds several edits, each old matched to the new at its place
+    new: str | tuple[str, ...]
     equivalent: bool = False
+
+    def edits(self) -> list[tuple[str, str]]:
+        if isinstance(self.old, tuple):
+            return list(zip(self.old, self.new))
+        return [(self.old, self.new)]
 
 
 MUTANTS = (
@@ -65,16 +71,16 @@ MUTANTS = (
     ),
     Mutant(
         "binheap-lifo", "LIFO within a sum: the power-set right child files at the front", "powerset.py",
-        "bucket.append(mask | 1 << nxt)", "bucket.insert(0, mask | 1 << nxt)",
+        "pending.append(mask | 1 << nxt)", "pending.insert(0, mask | 1 << nxt)",
     ),
     Mutant(
         "subtree-lifo", "LIFO within a sum: a fixed-length child files at the front", "subset_tree.py",
-        "bucket.append((mask ^ 1 << i | 1 << past) << width | i + 1)",
-        "bucket.insert(0, (mask ^ 1 << i | 1 << past) << width | i + 1)",
+        "pending.append((mask ^ 1 << i | 1 << past) << width | i + 1)",
+        "pending.insert(0, (mask ^ 1 << i | 1 << past) << width | i + 1)",
     ),
     Mutant(
         "adapter-refuses-equal-sum", "Frontier(root, expand) refuses a child equal to its parent", "powerset.py",
-        "if child.cached_sum < parent_sum:", "if child.cached_sum <= parent_sum:",
+        "if child.cached_sum < total:", "if child.cached_sum <= total:",
     ),
     Mutant(
         "no-past-the-end-check", "select has no up-front past-the-end check", "powerset.py",
@@ -130,12 +136,42 @@ MUTANTS = (
         "return [decode(child)._replace(cached_sum=key) for key, bucket in buckets.items() for child in bucket]",
     ),
     Mutant(
+        "run-overshoots", "the fixed-length rule takes a bucket whole even when it is longer than count",
+        "subset_tree.py",
+        "run = bucket[head : head + count] if head or len(bucket) > count else bucket",
+        "run = bucket[head : head + count] if head else bucket",
+    ),
+    Mutant(
+        "binheap-run-overshoots", "the power-set rule takes a bucket whole even when it is longer than count",
+        "powerset.py",
+        "run = bucket[head : head + count] if head or len(bucket) > count else bucket",
+        "run = bucket[head : head + count] if head else bucket",
+    ),
+    Mutant(
+        "drained-bucket-stays-registered", "the fixed-length rule reads buckets[total] in place of buckets.pop(total)",
+        "subset_tree.py",
+        "bucket, head = buckets.pop(total), 0", "bucket, head = buckets[total], 0",
+    ),
+    Mutant(
+        "binheap-drained-bucket-stays-registered",
+        "the power-set rule reads buckets[total] in place of buckets.pop(total)", "powerset.py",
+        "            bucket, head = buckets.pop(total), 0\n        cursor",
+        "            bucket, head = buckets[total], 0\n        cursor",
+    ),
+    Mutant(
         "equivalent-clear-low-bit", "control: clear the low bit with -= in place of ^=", "powerset.py",
         "mask ^= low", "mask -= low", equivalent=True,
     ),
     Mutant(
         "equivalent-view-rule-from-one", "control: the views run the rule from a sum of 1", "powerset.py",
-        "rule(code, 0, buckets, [])", "rule(code, 1, buckets, [])", equivalent=True,
+        "rule([[code], 0, 0], 1, buckets, [], [])", "rule([[code], 0, 1], 1, buckets, [], [])", equivalent=True,
+    ),
+    Mutant(
+        "equivalent-memo-before-run", "control: the fixed-length rule adds each run to the memo before expanding it",
+        "subset_tree.py",
+        ("            for code in run:\n", "            popped += run\n            count -= len(run)"),
+        ("            popped += run\n            for code in run:\n", "            count -= len(run)"),
+        equivalent=True,
     ),
 )
 
@@ -144,9 +180,11 @@ def check_edits() -> list[str]:
     """One line per edit that does not match its file exactly once."""
     problems = []
     for m in MUTANTS:
-        count = (ROOT / PACKAGE / m.path).read_text(encoding="utf-8").count(m.old)
-        if count != 1:
-            problems.append(f"{m.name}: {m.old!r} matches {m.path} {count} times, not once")
+        text = (ROOT / PACKAGE / m.path).read_text(encoding="utf-8")
+        for old, _ in m.edits():
+            count = text.count(old)
+            if count != 1:
+                problems.append(f"{m.name}: {old!r} matches {m.path} {count} times, not once")
     return problems
 
 
@@ -162,7 +200,10 @@ def run_mutant(m: Mutant) -> tuple[str, float, str]:
         shutil.copytree(ROOT / "tests", copy / "tests", ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", copy)
         target = copy / PACKAGE / m.path
-        target.write_text(target.read_text(encoding="utf-8").replace(m.old, m.new), encoding="utf-8")
+        text = target.read_text(encoding="utf-8")
+        for old, new in m.edits():
+            text = text.replace(old, new)
+        target.write_text(text, encoding="utf-8")
         env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
         command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"]
         started = time.monotonic()
