@@ -99,7 +99,17 @@ class ScaledSet:
     scaled_values: tuple[int, ...] = field(repr=False, compare=False)
 
     def __init__(self, values: Iterable[int]) -> None:
-        values = tuple(sorted(_i64_values(values, "scaled set")))
+        self._scale(_i64_values(values, "scaled set"))
+
+    @classmethod
+    def _of_checked(cls, values: tuple[int, ...]) -> ScaledSet:
+        """ScaledSet(values) for values already checked, as an InputSet's are: it skips the 64-bit check."""
+        s = cls.__new__(cls)
+        s._scale(values)
+        return s
+
+    def _scale(self, values: tuple[int, ...]) -> None:
+        values = tuple(sorted(values))
         offset = max(0, 1 - values[0])
         object.__setattr__(self, "sorted_values", values)
         object.__setattr__(self, "offset", offset)
@@ -129,11 +139,12 @@ def normalize(input_set: InputSet) -> ScaledSet:
     """The input's values as a ScaledSet: sorted and shifted strictly positive.
 
     Deterministic for a given input. Anything but an InputSet raises
-    InputError, so its checks cannot be skipped.
+    InputError, so its checks cannot be skipped; an InputSet has checked
+    its values, so they are not checked again.
     """
     if not isinstance(input_set, InputSet):
         raise InputError(f"expected an InputSet, got {input_set!r}")
-    return ScaledSet(input_set.values)
+    return ScaledSet._of_checked(input_set.values)
 
 
 def unscale(subset: IndexSubset, s: ScaledSet) -> tuple[int, ...]:

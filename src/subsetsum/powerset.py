@@ -19,8 +19,10 @@ subtree_root/subtree_children.
 
 from __future__ import annotations
 
+from array import array
+from functools import partial
 from heapq import heappop, heappush
-from typing import Callable, Sequence
+from typing import Callable, MutableSequence, Sequence
 
 from .model import IndexSubset, InputError, ScaledSet, _checked_indices
 
@@ -36,18 +38,51 @@ from .model import IndexSubset, InputError, ScaledSet, _checked_indices
 # pop first in, first out. Each bucket is one run of nodes sharing a sum:
 # a bucket that fits in what is left of count is expanded in place; one
 # that does not, or the rest of a bucket an earlier call left unfinished,
-# is sliced, so exactly count nodes are expanded. Each run joins the memo
-# popped whole (popped += run). Each child's code is appended to
+# is sliced, so exactly count nodes are expanded. Each run joins popped
+# whole (popped += run). Each child's code is appended to
 # buckets[child_sum]; a child whose sum has no bucket opens one and
 # heappushes the sum. No child_sum is below sum: the tree is heap-ordered.
 # A coded rule trusts count not to pass the last node, since select checks
 # the rank against the tree's size first. Each rule holds its own copy of
 # this loop: a shared loop that called the rule once per run made the
 # planted benchmark's median solve 5-16% slower, since its buckets are
-# mostly single nodes. A decoder maps a code to the IndexSubset it stands
-# for, deriving the sum from its indices.
+# mostly single nodes. popped is not the memo but a list in which select
+# stages at most _CHUNK codes, and then packs them into the memo (see
+# _memo) with one call: a pack into an array costs about 40 ns a call, and
+# packing each run as it is expanded would pay that for most nodes, since
+# most runs hold one node. A decoder maps a code to the IndexSubset it
+# stands for, deriving the sum from its indices.
 _Rule = Callable[[list, int, dict[int, list], list[int], list], None]
 _Decode = Callable[[int], IndexSubset]
+_Memo = Callable[[], MutableSequence]
+
+# The most nodes one call to the rule expands. select stages them in a list
+# of at most this many codes, about 40 bytes each, before packing them into
+# the memo at 8 bytes each: a staging list of some 40 KiB, while the rule's
+# call and the pack are paid once per thousand nodes.
+_CHUNK = 1024
+
+
+class _ListMemo(list):
+    """A memo that is a list: for codes wider than 64 bits, and for Frontier(root, expand)'s nodes.
+
+    fromlist appends a list's items, as array.fromlist does, so select packs
+    a chunk into either kind of memo with the same call.
+    """
+
+    fromlist = list.extend
+
+
+def _memo(bits: int) -> _Memo:
+    """A maker of empty memos for codes of at most bits bits.
+
+    Codes that fit in 64 bits are packed into an array of 8-byte unsigned
+    ints, where a list pays an 8-byte slot plus an int object of about 32
+    bytes per code. Wider codes keep a list. array.fromlist packs a chunk
+    about three times as fast as array.extend, which converts one item at
+    a time as it grows the array.
+    """
+    return partial(array, "Q") if bits <= 64 else _ListMemo
 
 
 def _mask_of(indices: Sequence[int]) -> int:
@@ -70,13 +105,14 @@ def _indices_and_sum(mask: int, scaled: Sequence[int]) -> tuple[tuple[int, ...],
     return tuple(indices), total
 
 
-def _binheap_codec(scaled: Sequence[int]) -> tuple[_Rule, _Decode]:
-    """The power-set tree over int codes: (children, decode).
+def _binheap_codec(scaled: Sequence[int]) -> tuple[_Rule, _Decode, _Memo]:
+    """The power-set tree over int codes: (children, decode, memo).
 
     A node's code is the bit mask of its indices. children files the left
     child, then the right. The left child moves the top bit up by one; the
     right child adds the bit above it. A node whose top bit is the last
     index has no children. decode(mask) gives the IndexSubset and its sum.
+    A mask has one bit per value, so memo packs the codes of up to 64 values.
     """
     size = len(scaled)
 
@@ -115,7 +151,7 @@ def _binheap_codec(scaled: Sequence[int]) -> tuple[_Rule, _Decode]:
     def decode(mask: int) -> IndexSubset:
         return IndexSubset(*_indices_and_sum(mask, scaled))
 
-    return children, decode
+    return children, decode, _memo(size)
 
 
 def _decoded_children(rule: _Rule, decode: _Decode, code: int) -> list[IndexSubset]:
@@ -153,7 +189,8 @@ def binheap_children(node: IndexSubset, s: ScaledSet) -> list[IndexSubset]:
     checked = tuple(_checked_indices(node.indices, s.size))
     if not checked:
         raise InputError(f"{node} is not a node of the power-set tree of {s.size} values")
-    return _decoded_children(*_binheap_codec(s.scaled_values), _mask_of(checked))
+    children, decode, _ = _binheap_codec(s.scaled_values)
+    return _decoded_children(children, decode, _mask_of(checked))
 
 
 class Frontier:
@@ -175,18 +212,24 @@ class Frontier:
     sums orders only the distinct sums, as in Dial's bucket queue. A child
     whose sum is already pending costs one append and no heap sift, and the
     only objects the garbage collector tracks are the bucket lists, not
-    the nodes. select makes one call to the rule (see _Rule), which drains
-    buckets in pop order from a cursor [bucket, head, sum]. A drained
-    bucket leaves the map when the heap hands out its sum, so a child with
-    its parent's sum opens a new bucket at that sum, and a run of nodes
-    sharing a sum is expanded and memoized without any per-node
-    bookkeeping. The pending count is the cursor's bucket past head plus
+    the nodes. select calls the rule (see _Rule) once per chunk of at most
+    _CHUNK nodes, and the rule drains buckets in pop order from a cursor
+    [bucket, head, sum]. A drained bucket leaves the map when the heap
+    hands out its sum, so a child with its parent's sum opens a new bucket
+    at that sum, and a run of nodes sharing a sum is expanded and staged
+    without any per-node bookkeeping. The pending count is the cursor's bucket past head plus
     every bucket in sums; a registered bucket may sit at the cursor's own
     sum. The memo holds each popped code, and only the code: a code
     becomes an IndexSubset, its sum derived from its indices, only when
-    select returns its rank. Expansion never reads the memo, so it can drop
-    a prefix: ranks up to base are forgotten, and nodes_expanded is base
-    plus the memo's length.
+    select returns its rank. Where the tree's widest code fits in 64 bits
+    (up to 58 values for a fixed-length tree, 64 for the power-set tree),
+    the memo is an array of 8-byte codes, about a fifth of what a list of
+    int codes costs. The rule stages each chunk's codes in a short list,
+    and select packs the chunk into the memo, in a finally clause, so the
+    nodes a call expanded are memoized even when it raises. A wider tree,
+    and Frontier(root, expand), keep a list memo. Expansion never reads the
+    memo, so it can drop a prefix: ranks up to base are forgotten, and
+    nodes_expanded is base plus the memo's length.
 
     A frontier that solve or solve_positive builds for its own rank search,
     and never hands out, forgets: whenever a probe rises above the previous
@@ -243,20 +286,24 @@ class Frontier:
             finally:
                 cursor[:] = bucket, head, total
 
-        self._start(root, root.cached_sum, rule, lambda node: node, None, False)
+        self._start(root, root.cached_sum, rule, lambda node: node, _ListMemo, None, False)
 
     @classmethod
-    def _coded(cls, code: int, total: int, rule: _Rule, decode: _Decode, size: int, forgets: bool) -> Frontier:
+    def _coded(
+        cls, code: int, total: int, rule: _Rule, decode: _Decode, memo: _Memo, size: int, forgets: bool
+    ) -> Frontier:
         """A frontier over int codes of a tree of size subsets; decode(code) gives the subset.
 
-        forgets is True only for the solver's own rank-search frontiers.
+        memo() makes the empty memo, as the codec gives it. forgets is True
+        only for the solver's own rank-search frontiers.
         """
         frontier = cls.__new__(cls)
-        frontier._start(code, total, rule, decode, size, forgets)
+        frontier._start(code, total, rule, decode, memo, size, forgets)
         return frontier
 
     def _start(
-        self, code: object, total: int, rule: Callable, decode: Callable, size: int | None, forgets: bool
+        self, code: object, total: int, rule: Callable, decode: Callable, memo: Callable, size: int | None,
+        forgets: bool,
     ) -> None:
         self._rule, self._decode, self._size = rule, decode, size
         self._cursor = [[code], 0, total]  # [bucket, head, sum]: the bucket being drained, not in _buckets
@@ -264,7 +311,7 @@ class Frontier:
         self._sums: list[int] = []
         self._base = 0  # ranks 1..base are forgotten; the memo holds ranks base+1 onward
         self._probe = 0 if forgets else None  # the previous rank selected, on a frontier that forgets
-        self._popped: list = []
+        self._popped = memo()
 
     @property
     def nodes_expanded(self) -> int:
@@ -274,9 +321,10 @@ class Frontier:
     def select(self, k: int) -> IndexSubset:
         """Return the rank-k subset (1-based) in nondecreasing-sum order.
 
-        One call to the rule expands the nodes from the cursor up to rank k,
-        a run of equal sums at a time, filing their children into buckets
-        and adding each run to the memo. When the cursor's bucket is
+        The rule expands the nodes from the cursor up to rank k, a run of
+        equal sums at a time, filing their children into buckets and
+        staging each run in a list, at most _CHUNK nodes per call; select
+        packs each call's nodes into the memo. When the cursor's bucket is
         drained, the rule pops the next smallest sum and takes its bucket;
         heap order means no pending sum is ever below the cursor's. Only
         the returned rank is decoded. In Frontier(root, expand) the rule
@@ -305,9 +353,21 @@ class Frontier:
                 del popped[: probe - base]
                 self._base = base = probe
             self._probe = k
-        if k > base + len(popped):
-            self._rule(self._cursor, k - base - len(popped), self._buckets, self._sums, popped)
-            if k > base + len(popped):
+        missing = k - base - len(popped)
+        if missing > 0:
+            staged: list = []
+            try:
+                while missing > 0:
+                    self._rule(self._cursor, min(missing, _CHUNK), self._buckets, self._sums, staged)
+                    if not staged:
+                        break  # only Frontier(root, expand) runs out: no sum is pending
+                    missing -= len(staged)
+                    popped.fromlist(staged)
+                    staged.clear()
+            finally:
+                if staged:  # the nodes a call expanded before it raised
+                    popped.fromlist(staged)
+            if missing > 0:
                 raise InputError(f"rank {k} exceeds the {base + len(popped)} subsets in this tree")
         return self._decode(popped[k - 1 - base])
 

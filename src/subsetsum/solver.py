@@ -123,7 +123,7 @@ def solve(input_set: InputSet, *, range_check: bool = True) -> SolveOutcome:
     started = time.perf_counter_ns()
     s = normalize(input_set)
     scaled, size = s.scaled_values, s.size
-    encode, children, decode = _subtree_codec(scaled)
+    encode, children, decode, memo = _subtree_codec(scaled)
     orders: list[OrderTrace] = []
     found = None
     low = high = 0  # the sums of the order smallest and of the order largest scaled values
@@ -135,7 +135,7 @@ def solve(input_set: InputSet, *, range_check: bool = True) -> SolveOutcome:
             orders.append(OrderTrace(order, scaled_target, (), False, 0))
             continue
         root = encode((1 << order) - 1, 0)  # the order smallest values, free to advance any position
-        frontier = Frontier._coded(root, low, children, decode, math.comb(size, order), True)
+        frontier = Frontier._coded(root, low, children, decode, memo, math.comb(size, order), True)
         found, record = _rank_search(frontier, order, scaled_target)
         orders.append(record)
         if found is not None:

@@ -22,7 +22,7 @@ from heapq import heappop, heappush
 from typing import Callable, Sequence
 
 from .model import IndexSubset, InputError, ScaledSet, _check_length, _checked_indices
-from .powerset import Frontier, _Decode, _decoded_children, _indices_and_sum, _mask_of, _Rule
+from .powerset import Frontier, _Decode, _decoded_children, _indices_and_sum, _mask_of, _Memo, _memo, _Rule
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,8 +41,8 @@ class SubsetTree:
         object.__setattr__(self, "total", math.comb(self.scaled.size, self.n))
 
 
-def _subtree_codec(scaled: Sequence[int]) -> tuple[Callable[[int, int], int], _Rule, _Decode]:
-    """The coded fixed-length trees over scaled, one codec for every length: (encode, children, decode).
+def _subtree_codec(scaled: Sequence[int]) -> tuple[Callable[[int, int], int], _Rule, _Decode, _Memo]:
+    """The coded fixed-length trees over scaled, one codec for every length: (encode, children, decode, memo).
 
     encode(mask, min_index) packs a node as mask << width | min_index,
     where width = size.bit_length() holds any index and size itself; the
@@ -55,7 +55,8 @@ def _subtree_codec(scaled: Sequence[int]) -> tuple[Callable[[int, int], int], _R
     above the node's min_index advance, and a run that already ends on the
     last index has no child. decode(code) gives the IndexSubset,
     its sum derived from its indices, and its min_modified_pos counts the
-    set bits below min_index.
+    set bits below min_index. A code holds size + width bits, so memo packs
+    the codes of up to 58 values.
     """
     size = len(scaled)
     width = size.bit_length()
@@ -99,7 +100,7 @@ def _subtree_codec(scaled: Sequence[int]) -> tuple[Callable[[int, int], int], _R
         mask = code >> width
         return IndexSubset(*_indices_and_sum(mask, scaled), (mask & (1 << (code & low)) - 1).bit_count())
 
-    return encode, children, decode
+    return encode, children, decode, _memo(size + width)
 
 
 def subtree_root(s: ScaledSet, n: int) -> IndexSubset:
@@ -134,7 +135,7 @@ def subtree_children(node: IndexSubset, tree: SubsetTree) -> list[IndexSubset]:
     checked = tuple(_checked_indices(indices, size))
     if len(checked) != tree.n or not (type(min_pos) is int and 0 <= min_pos < tree.n):
         raise InputError(f"{node} is not a node of the tree of {tree.n}-subsets of {size} values")
-    encode, children, decode = _subtree_codec(tree.scaled.scaled_values)
+    encode, children, decode, _ = _subtree_codec(tree.scaled.scaled_values)
     found = _decoded_children(children, decode, encode(_mask_of(checked), checked[min_pos]))
     return sorted(found, key=lambda child: child.min_modified_pos, reverse=True)
 
@@ -142,5 +143,6 @@ def subtree_children(node: IndexSubset, tree: SubsetTree) -> list[IndexSubset]:
 def subtree_frontier(tree: SubsetTree) -> Frontier:
     """Fresh expansion state over the fixed-length subset tree."""
     scaled = tree.scaled.scaled_values
-    encode, children, decode = _subtree_codec(scaled)
-    return Frontier._coded(encode((1 << tree.n) - 1, 0), sum(scaled[: tree.n]), children, decode, tree.total, False)
+    encode, children, decode, memo = _subtree_codec(scaled)
+    root = encode((1 << tree.n) - 1, 0)
+    return Frontier._coded(root, sum(scaled[: tree.n]), children, decode, memo, tree.total, False)

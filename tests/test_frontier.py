@@ -10,12 +10,15 @@ a run of equal sums at a time, each select must also leave every code a
 rule produced exactly once pending or in the memo, and must expand exactly
 the nodes up to its rank. The solver's own frontiers forget the ranks
 its rank search has passed; public ones must still serve every rank in any
-order.
+order. A coded frontier packs its memo into 8-byte codes while the tree's
+widest code fits in 64 bits, and keeps a list past that.
 """
 
 import gc
 import math
 import random
+import tracemalloc
+from array import array
 from collections import Counter
 from functools import partial
 
@@ -23,6 +26,7 @@ import pytest
 
 from subsetsum import (
     Frontier,
+    IndexSubset,
     InputError,
     InputSet,
     ScaledSet,
@@ -38,7 +42,7 @@ from subsetsum import (
     subtree_root,
 )
 from subsetsum import solver
-from subsetsum.powerset import binheap_children, binheap_root
+from subsetsum.powerset import _binheap_frontier, binheap_children, binheap_root
 
 
 def _frontier_pairs(s):
@@ -233,6 +237,41 @@ def test_expanded_nodes_hold_no_tracked_objects():
     grown = len(gc.get_objects()) - before
     assert frontier.nodes_expanded == tree.total == 3432
     assert grown < 50
+
+
+@pytest.mark.parametrize("size, packed", [(58, True), (59, False)])
+def test_fixed_length_memo_packs_codes_of_up_to_64_bits(size, packed):
+    # A code is the mask shifted past a 6-bit min_index field, so the top
+    # value's length-1 code sets bit size + 5: bit 63 at 58 values, 64 at 59.
+    values = tuple(range(1, size + 1))
+    assert solve(InputSet(values, size)).subset == (size,)
+    frontier = subtree_frontier(SubsetTree(ScaledSet(values), 1))
+    assert frontier.select(size).indices == (size - 1,)
+    assert isinstance(frontier._popped, array) is packed
+    assert max(frontier._popped).bit_length() == size + 6
+
+
+@pytest.mark.parametrize("size, packed", [(64, True), (65, False)])
+def test_power_set_memo_packs_masks_of_up_to_64_bits(size, packed):
+    # Equal values: the singletons pop first, in index order, so the top index alone is rank size.
+    frontier = binheap_frontier(ScaledSet((10**9,) * size))
+    assert frontier.select(size) == IndexSubset((size - 1,), 10**9)
+    assert isinstance(frontier._popped, array) is packed
+    assert max(frontier._popped) == 1 << size - 1
+
+
+def test_first_probe_memo_is_packed():
+    # solve_positive's first probe at N=16 memoizes 2^15 codes and forgets none of them.
+    # tracemalloc peak on CPython 3.11.7: 1,856 KiB with a list of int codes,
+    # 870 KiB with codes packed 8 bytes each; the bound lies halfway.
+    s = ScaledSet((865, 395, 777, 912, 431, 42, 266, 989, 524, 498, 415, 941, 803, 850, 311, 992))
+    tracemalloc.start()
+    try:
+        _binheap_frontier(s, True).select(2**15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1363 << 10
 
 
 

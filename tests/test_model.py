@@ -78,7 +78,8 @@ class TestScaledSet:
 def test_scaled_set_sorts_any_order_as_normalize_does(values):
     s = ScaledSet(values)
     assert s.sorted_values == tuple(sorted(values))
-    assert s == normalize(InputSet(tuple(values), 0))
+    normalized = normalize(InputSet(tuple(values), 0))
+    assert s == normalized and s.scaled_values == normalized.scaled_values
 
 
 @pytest.mark.parametrize(

@@ -128,7 +128,7 @@ MUTANTS = (
     ),
     Mutant(
         "scaled-set-unsorted", "ScaledSet keeps its values in the order given", "model.py",
-        'values = tuple(sorted(_i64_values(values, "scaled set")))', 'values = _i64_values(values, "scaled set")',
+        "values = tuple(sorted(values))", "values = tuple(values)",
     ),
     Mutant(
         "view-sums-from-zero", "the views keep each bucket's key as the child's sum", "powerset.py",
@@ -159,6 +159,24 @@ MUTANTS = (
         "            bucket, head = buckets[total], 0\n        cursor",
     ),
     Mutant(
+        "packed-memo-admits-65-bits", "the memo packs codes of up to 65 bits into 8-byte slots", "powerset.py",
+        'return partial(array, "Q") if bits <= 64 else _ListMemo',
+        'return partial(array, "Q") if bits <= 65 else _ListMemo',
+    ),
+    Mutant(
+        "signed-packed-memo", "the packed memo holds signed 8-byte codes", "powerset.py",
+        'partial(array, "Q")', 'partial(array, "q")',
+    ),
+    Mutant(
+        "chunk-unflushed-on-raise", "select drops the staged codes of a rule call that raised", "powerset.py",
+        "if staged:  # the nodes a call expanded before it raised",
+        "if False:  # the nodes a call expanded before it raised",
+    ),
+    Mutant(
+        "staging-never-cleared", "select never clears the staging list after packing it", "powerset.py",
+        "                    staged.clear()\n", "                    pass\n",
+    ),
+    Mutant(
         "equivalent-clear-low-bit", "control: clear the low bit with -= in place of ^=", "powerset.py",
         "mask ^= low", "mask -= low", equivalent=True,
     ),
@@ -172,6 +190,10 @@ MUTANTS = (
         ("            for code in run:\n", "            popped += run\n            count -= len(run)"),
         ("            popped += run\n            for code in run:\n", "            count -= len(run)"),
         equivalent=True,
+    ),
+    Mutant(
+        "equivalent-chunk-size", "control: select stages at most 3 codes per rule call, not 1,024", "powerset.py",
+        "_CHUNK = 1024", "_CHUNK = 3", equivalent=True,
     ),
 )
 
