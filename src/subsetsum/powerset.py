@@ -222,9 +222,9 @@ class Frontier:
     sum. The memo holds each popped code, and only the code: a code
     becomes an IndexSubset, its sum derived from its indices, only when
     select returns its rank. Where the tree's widest code fits in 64 bits
-    (up to 58 values for a fixed-length tree, 64 for the power-set tree),
-    the memo is an array of 8-byte codes, about a fifth of what a list of
-    int codes costs. The rule stages each chunk's codes in a short list,
+    (up to 64 values, in either tree, as a code is a bit mask), the memo
+    is an array of 8-byte codes, about a fifth of what a list of int codes
+    costs. The rule stages each chunk's codes in a short list,
     and select packs the chunk into the memo, in a finally clause, so the
     nodes a call expanded are memoized even when it raises. A wider tree,
     and Frontier(root, expand), keep a list memo. Expansion never reads the

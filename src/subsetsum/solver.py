@@ -118,12 +118,15 @@ def solve(input_set: InputSet, *, range_check: bool = True) -> SolveOutcome:
     scaled values or above the sum of its n largest, are skipped without a
     search. The keyword-only range_check=False disables that shortcut and
     forces the full binary search on every length; decisions are unchanged
-    and worst-case benchmarks use it to measure full probing cost.
+    and worst-case benchmarks use it to measure full probing cost. A
+    range_check that is not a bool raises InputError.
     """
     started = time.perf_counter_ns()
+    if type(range_check) is not bool:
+        raise InputError(f"range_check must be a bool, got {range_check!r}")
     s = normalize(input_set)
     scaled, size = s.scaled_values, s.size
-    encode, children, decode, memo = _subtree_codec(scaled)
+    children, decode, memo = _subtree_codec(scaled)
     orders: list[OrderTrace] = []
     found = None
     low = high = 0  # the sums of the order smallest and of the order largest scaled values
@@ -134,7 +137,7 @@ def solve(input_set: InputSet, *, range_check: bool = True) -> SolveOutcome:
         if range_check and not low <= scaled_target <= high:
             orders.append(OrderTrace(order, scaled_target, (), False, 0))
             continue
-        root = encode((1 << order) - 1, 0)  # the order smallest values, free to advance any position
+        root = (1 << order) - 1  # the mask of the order smallest values
         frontier = Frontier._coded(root, low, children, decode, memo, math.comb(size, order), True)
         found, record = _rank_search(frontier, order, scaled_target)
         orders.append(record)

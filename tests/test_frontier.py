@@ -239,16 +239,16 @@ def test_expanded_nodes_hold_no_tracked_objects():
     assert grown < 50
 
 
-@pytest.mark.parametrize("size, packed", [(58, True), (59, False)])
+@pytest.mark.parametrize("size, packed", [(64, True), (65, False)])
 def test_fixed_length_memo_packs_codes_of_up_to_64_bits(size, packed):
-    # A code is the mask shifted past a 6-bit min_index field, so the top
-    # value's length-1 code sets bit size + 5: bit 63 at 58 values, 64 at 59.
+    # A code is the node's bit mask, so the top value's length-1 code sets
+    # bit size - 1: bit 63 at 64 values, 64 at 65.
     values = tuple(range(1, size + 1))
     assert solve(InputSet(values, size)).subset == (size,)
     frontier = subtree_frontier(SubsetTree(ScaledSet(values), 1))
     assert frontier.select(size).indices == (size - 1,)
     assert isinstance(frontier._popped, array) is packed
-    assert max(frontier._popped).bit_length() == size + 6
+    assert max(frontier._popped).bit_length() == size
 
 
 @pytest.mark.parametrize("size, packed", [(64, True), (65, False)])

@@ -117,6 +117,23 @@ def test_subtree_children_match_reference_on_every_node(values):
             _assert_same_children(subtree_children(node, tree), reference_subtree_children(node, tree))
 
 
+@pytest.mark.parametrize("size", range(1, 10))
+def test_min_modified_pos_is_the_start_of_the_top_run(size):
+    # The reference honours any min_modified_pos, so the invariant the coded
+    # rule rests on is checked here on trees it does not build: a node's
+    # position counts its indices below its top run of consecutive indices.
+    s = ScaledSet(tuple(range(1, size + 1)))
+    for n in range(1, size + 1):
+        tree = SubsetTree(s, n)
+        nodes = _all_nodes(subtree_root(s, n), lambda node: reference_subtree_children(node, tree))
+        assert len(nodes) == tree.total
+        for node in nodes:
+            start = n - 1
+            while start and node.indices[start - 1] == node.indices[start] - 1:
+                start -= 1
+            assert node.min_modified_pos == start, node
+
+
 @pytest.mark.parametrize("values", list(_sets()), ids=str)
 def test_binheap_children_match_reference_on_every_node(values):
     s = ScaledSet(values)

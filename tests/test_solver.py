@@ -99,6 +99,12 @@ class TestSolve:
         assert not outcome.found
         assert outcome.stats.nodes_expanded == 2**3 - 1
 
+    @pytest.mark.parametrize("range_check", ["no", 0, 1, None], ids=repr)
+    def test_non_bool_range_check_is_refused(self, range_check):
+        # A truthy string would otherwise run with the window on; the refusal is a raise, so it holds under -O.
+        with pytest.raises(InputError, match="range_check"):
+            solve(InputSet((2, 5, 7), 100), range_check=range_check)
+
     @pytest.mark.parametrize("range_check", [True, False])
     def test_scaled_target_past_i64_max_not_found(self, range_check):
         # Scaled target 2**62 + (2**62 + 1) passes 2**63 - 1; the one subset sums to 1.

@@ -76,23 +76,35 @@ class TestChildren:
         assert [g.indices for g in grandchildren] == [(0, 1, 2, 5)]
 
     @pytest.mark.parametrize(
-        "node",
+        "values, n, node",
         [
-            IndexSubset((3, 1), 19, 0),
-            IndexSubset((1, 1), 10, 0),
-            IndexSubset((0,), 1, 0),
-            IndexSubset((0, 1, 2), 12, 0),
-            IndexSubset((-1, 2), 22, 0),
-            IndexSubset((0, 5), 1, 0),
-            IndexSubset((0, 1.0), 6, 0),
-            IndexSubset((0, 1), 6, 2),
-            IndexSubset((0, 1), 6, -1),
-            IndexSubset((0, 1), 6, True),
+            *(
+                ((1, 5, 6, 13, 16), 2, node)
+                for node in (
+                    IndexSubset((3, 1), 19, 0),
+                    IndexSubset((1, 1), 10, 0),
+                    IndexSubset((0,), 1, 0),
+                    IndexSubset((0, 1, 2), 12, 0),
+                    IndexSubset((-1, 2), 22, 0),
+                    IndexSubset((0, 5), 1, 0),
+                    IndexSubset((0, 1.0), 6, 0),
+                    IndexSubset((0, 1), 6, 2),
+                    IndexSubset((0, 1), 6, -1),
+                    IndexSubset((0, 1), 6, True),
+                    IndexSubset((0, 1), 6, 1),
+                    IndexSubset((0, 2), 7, 0),
+                )
+            ),
+            # The tree gives (0, 2, 4) position 2, the first of its top run; position 0 is off the tree.
+            ((1, 2, 10, 15, 20, 21), 3, IndexSubset((0, 2, 4), 31, 0)),
         ],
-        ids=["decreasing", "repeated", "short", "long", "negative", "past-end", "float", "pos-n", "pos-neg", "pos-bool"],
+        ids=[
+            "decreasing", "repeated", "short", "long", "negative", "past-end", "float", "pos-n", "pos-neg",
+            "pos-bool", "root-pos-1", "below-top-run", "off-tree-pos",
+        ],
     )
-    def test_non_node_is_refused(self, node):
-        tree = SubsetTree(ScaledSet((1, 5, 6, 13, 16)), 2)
+    def test_non_node_is_refused(self, values, n, node):
+        tree = SubsetTree(ScaledSet(values), n)
         with pytest.raises(InputError):
             subtree_children(node, tree)
 
@@ -103,13 +115,14 @@ class TestChildren:
         assert [(c.indices, c.cached_sum) for c in children] == [((0, 2), 7), ((1, 2), 11)]
 
     def test_siblings_tied_on_sum_keep_position_order(self):
-        # Siblings at positions 2 and 0 both sum to 32, so the rule files them
-        # in one bucket, and position 1 (sum 36) in its own; the view must
-        # still list them from the last position down, not bucket by bucket.
-        tree = SubsetTree(ScaledSet((1, 2, 10, 15, 20, 21)), 3)
-        children = subtree_children(IndexSubset((0, 2, 4), 31, 0), tree)
+        # The root's children at positions 2 and 1 both sum to 5, so the rule
+        # files them in one bucket, and position 0 (sum 6) in its own; the
+        # view must still list them from the last position down.
+        s = ScaledSet((1, 2, 2, 2, 5, 9))
+        children = subtree_children(subtree_root(s, 3), SubsetTree(s, 3))
         assert [c.min_modified_pos for c in children] == [2, 1, 0]
-        assert [c.cached_sum for c in children] == [32, 36, 32]
+        assert [c.indices for c in children] == [(0, 1, 3), (0, 2, 3), (1, 2, 3)]
+        assert [c.cached_sum for c in children] == [5, 5, 6]
 
     def test_child_positions_never_below_parents(self):
         s = ScaledSet(tuple(sorted(random.Random(2).randint(1, 30) for _ in range(8))))

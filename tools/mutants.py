@@ -75,8 +75,7 @@ MUTANTS = (
     ),
     Mutant(
         "subtree-lifo", "LIFO within a sum: a fixed-length child files at the front", "subset_tree.py",
-        "pending.append((mask ^ 1 << i | 1 << past) << width | i + 1)",
-        "pending.insert(0, (mask ^ 1 << i | 1 << past) << width | i + 1)",
+        "pending.append(mask ^ 1 << i)", "pending.insert(0, mask ^ 1 << i)",
     ),
     Mutant(
         "adapter-refuses-equal-sum", "Frontier(root, expand) refuses a child equal to its parent", "powerset.py",
@@ -104,15 +103,21 @@ MUTANTS = (
     ),
     Mutant(
         "decode-drops-min-modified-pos", "the fixed-length decode leaves min_modified_pos at 0", "subset_tree.py",
-        ", (mask & (1 << (code & low)) - 1).bit_count())", ")",
+        ", (mask & (1 << first) - 1).bit_count())", ")",
     ),
     Mutant(
         "decode-sum-skips-one", "decode sums all indices but the top one", "powerset.py",
         "total += scaled[i]", "total += scaled[i] if mask != low else 0",
     ),
     Mutant(
-        "subtree-children-unsorted", "subtree_children lists its children bucket by bucket", "subset_tree.py",
-        "return sorted(found, key=lambda child: child.min_modified_pos, reverse=True)", "return found",
+        "subtree-below-top-run", "the fixed-length rule also advances the bit just below the top run",
+        "subset_tree.py",
+        "first = (mask ^ (1 << past) - 1).bit_length()", "first = (mask ^ (1 << past) - 1).bit_length() - 1",
+    ),
+    Mutant(
+        "subtree-skips-run-start", "the fixed-length rule never advances the first bit of the top run",
+        "subset_tree.py",
+        "first = (mask ^ (1 << past) - 1).bit_length()", "first = (mask ^ (1 << past) - 1).bit_length() + 1",
     ),
     Mutant(
         "forget-one-too-many", "forgetting drops one popped code too many", "powerset.py",
@@ -187,8 +192,8 @@ MUTANTS = (
     Mutant(
         "equivalent-memo-before-run", "control: the fixed-length rule adds each run to the memo before expanding it",
         "subset_tree.py",
-        ("            for code in run:\n", "            popped += run\n            count -= len(run)"),
-        ("            popped += run\n            for code in run:\n", "            count -= len(run)"),
+        ("            for mask in run:\n", "            popped += run\n            count -= len(run)"),
+        ("            popped += run\n            for mask in run:\n", "            count -= len(run)"),
         equivalent=True,
     ),
     Mutant(
