@@ -9,9 +9,8 @@ which keeps duplicate values distinct and makes "advance to the next
 element" well defined. Input values and targets are 64-bit signed
 integers, but scaled values and subset sums are Python ints and may
 exceed 64 bits. An IndexSubset is also the public view of a node of
-either heap-ordered tree: it carries the one piece of tree state the
-fixed-length tree needs, the lowest position a node's children may
-advance.
+either heap-ordered tree: its indices are the whole node, since they fix
+every position a node's children may advance.
 
 All types here are immutable after construction and safe to share across
 concurrent searches.
@@ -20,7 +19,7 @@ concurrent searches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 I64_MIN = -(2**63)
 I64_MAX = 2**63 - 1
@@ -36,7 +35,11 @@ class InputError(ValueError):
     is not an int of at least 1, a child whose sum is below its parent's
     in Frontier(root, expand), and a rank that one of the solver's own
     rank-search frontiers has forgotten (those frontiers are never handed
-    out, see Frontier).
+    out, see Frontier). It also covers a subset given to unscale, or a node
+    given to subtree_children or binheap_children, that is not an
+    IndexSubset whose indices are a tuple of ints increasing strictly within
+    [0, N), and a node that is not one of its tree's: one whose length is
+    not the tree's n, or an empty one in the power-set tree.
     """
 
 
@@ -124,15 +127,13 @@ class IndexSubset(NamedTuple):
     """A subset as strictly increasing indices into a scaled set, plus its scaled sum.
 
     A tree node is an IndexSubset itself: read its indices and cached_sum
-    directly. As the view of a node of the fixed-length subset tree,
-    min_modified_pos is the position the node itself advanced from its
-    parent (0 for the root); its children advance only positions at or
-    above it. Power-set tree nodes and free-standing subsets leave it at 0.
+    directly. In either tree the indices are the whole node: a node of the
+    fixed-length tree advanced from its parent the first position of its
+    top run of consecutive indices, and its children advance only that run.
     """
 
     indices: tuple[int, ...]
     cached_sum: int
-    min_modified_pos: int = 0
 
 
 def normalize(input_set: InputSet) -> ScaledSet:
@@ -150,18 +151,22 @@ def normalize(input_set: InputSet) -> ScaledSet:
 def unscale(subset: IndexSubset, s: ScaledSet) -> tuple[int, ...]:
     """Map an index subset back to its original values, ascending.
 
-    Indices that are not ints increasing strictly within [0, N) raise
-    InputError: a negative index would otherwise wrap to the end.
+    Anything but an IndexSubset whose indices are a tuple of ints
+    increasing strictly within [0, N) raises InputError: a negative index
+    would otherwise wrap to the end.
     """
     values = s.sorted_values
-    return tuple(values[i] for i in _checked_indices(subset.indices, len(values)))
+    return tuple(values[i] for i in _checked_indices(subset, len(values)))
 
 
-def _checked_indices(indices: Iterable[object], size: int) -> Iterator[int]:
-    """Yield each index; one that is not an int above the last and below size raises InputError."""
+def _checked_indices(subset: object, size: int) -> tuple[int, ...]:
+    """The subset's indices; anything but an IndexSubset of ints rising strictly within [0, size) raises InputError."""
+    if not (isinstance(subset, IndexSubset) and type(subset.indices) is tuple):
+        raise InputError(f"expected an IndexSubset with a tuple of indices, got {subset!r}")
+    indices = subset.indices
     last = -1
     for i in indices:
         if not (type(i) is int and last < i < size):
             raise InputError(f"indices {indices} are not ints increasing strictly within [0, {size})")
-        yield i
         last = i
+    return indices

@@ -8,8 +8,12 @@ grow the sum, so best-first expansion pops subsets in nondecreasing sum
 order and selecting rank k touches O(k) nodes. A binary search over ranks
 then locates a target sum without materializing the power set.
 
-binheap_frontier runs this tree over int codes (see _binheap_codec);
-binheap_root and binheap_children are its IndexSubset view. That view and
+This module owns the node code of both trees: the bit mask of a node's
+indices into the sorted scaled set, which _decode turns into the
+IndexSubset it stands for. Each tree contributes only its child rule over
+that code: _binheap_rule here, _subtree_rule in subsetsum.subset_tree.
+binheap_frontier runs this tree over its codes; binheap_root and
+binheap_children are its IndexSubset view. That view and
 the Frontier(root, expand) adapter are internal, not exported by the
 package: subsetsum.checks, the tests and the benchmark's layer replica use
 them, and no solve reaches them. Both retire once the replica runs on the
@@ -22,7 +26,7 @@ from __future__ import annotations
 from array import array
 from functools import partial
 from heapq import heappop, heappush
-from typing import Callable, MutableSequence, Sequence
+from typing import Callable, Sequence
 
 from .model import IndexSubset, InputError, ScaledSet, _checked_indices
 
@@ -48,13 +52,11 @@ from .model import IndexSubset, InputError, ScaledSet, _checked_indices
 # planted benchmark's median solve 5-16% slower, since its buckets are
 # mostly single nodes. popped is not the memo but a list in which select
 # stages at most _CHUNK codes, and then packs them into the memo (see
-# _memo) with one call: a pack into an array costs about 40 ns a call, and
-# packing each run as it is expanded would pay that for most nodes, since
-# most runs hold one node. A decoder maps a code to the IndexSubset it
-# stands for, deriving the sum from its indices.
+# Frontier._coded) with one call: a pack into an array costs about 40 ns a
+# call, and packing each run as it is expanded would pay that for most
+# nodes, since most runs hold one node. A code is a node's bit mask, for
+# either tree; _decode maps it to the IndexSubset it stands for.
 _Rule = Callable[[list, int, dict[int, list], list[int], list], None]
-_Decode = Callable[[int], IndexSubset]
-_Memo = Callable[[], MutableSequence]
 
 # The most nodes one call to the rule expands. select stages them in a list
 # of at most this many codes, about 40 bytes each, before packing them into
@@ -73,18 +75,6 @@ class _ListMemo(list):
     fromlist = list.extend
 
 
-def _memo(bits: int) -> _Memo:
-    """A maker of empty memos for codes of at most bits bits.
-
-    Codes that fit in 64 bits are packed into an array of 8-byte unsigned
-    ints, where a list pays an 8-byte slot plus an int object of about 32
-    bytes per code. Wider codes keep a list. array.fromlist packs a chunk
-    about three times as fast as array.extend, which converts one item at
-    a time as it grows the array.
-    """
-    return partial(array, "Q") if bits <= 64 else _ListMemo
-
-
 def _mask_of(indices: Sequence[int]) -> int:
     """The bit mask with one bit set per index."""
     mask = 0
@@ -93,8 +83,8 @@ def _mask_of(indices: Sequence[int]) -> int:
     return mask
 
 
-def _indices_and_sum(mask: int, scaled: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    """The set bits of a mask, ascending, and the sum of their scaled values."""
+def _decode(scaled: Sequence[int], mask: int) -> IndexSubset:
+    """The subset a node's code stands for: the mask's set bits, ascending, and the sum of their scaled values."""
     indices, total = [], 0
     while mask:
         low = mask & -mask
@@ -102,17 +92,15 @@ def _indices_and_sum(mask: int, scaled: Sequence[int]) -> tuple[tuple[int, ...],
         indices.append(i)
         total += scaled[i]
         mask ^= low
-    return tuple(indices), total
+    return IndexSubset(tuple(indices), total)
 
 
-def _binheap_codec(scaled: Sequence[int]) -> tuple[_Rule, _Decode, _Memo]:
-    """The power-set tree over int codes: (children, decode, memo).
+def _binheap_rule(scaled: Sequence[int]) -> _Rule:
+    """The child rule of the power-set tree over scaled (see _Rule).
 
-    A node's code is the bit mask of its indices. children files the left
-    child, then the right. The left child moves the top bit up by one; the
-    right child adds the bit above it. A node whose top bit is the last
-    index has no children. decode(mask) gives the IndexSubset and its sum.
-    A mask has one bit per value, so memo packs the codes of up to 64 values.
+    It files the left child, then the right. The left child moves the top
+    bit up by one; the right child adds the bit above it. A node whose top
+    bit is the last index has no children.
     """
     size = len(scaled)
 
@@ -148,23 +136,20 @@ def _binheap_codec(scaled: Sequence[int]) -> tuple[_Rule, _Decode, _Memo]:
             bucket, head = buckets.pop(total), 0
         cursor[:] = bucket, head + len(run), total
 
-    def decode(mask: int) -> IndexSubset:
-        return IndexSubset(*_indices_and_sum(mask, scaled))
-
-    return children, decode, _memo(size)
+    return children
 
 
-def _decoded_children(rule: _Rule, decode: _Decode, code: int) -> list[IndexSubset]:
-    """One node's children as decode gives them, grouped by sum in the order their buckets opened.
+def _decoded_children(rule: _Rule, scaled: Sequence[int], code: int) -> list[IndexSubset]:
+    """One node's children as _decode gives them, grouped by sum in the order their buckets opened.
 
     The rule expands one node from a one-code cursor at a sum of 0, on a
     scratch bucket map, so a bucket's key is its children's sum less the
     node's. Only differences between sums group and order the buckets, and
-    each child's sum is the one decode derives from its indices.
+    each child's sum is the one _decode derives from its indices.
     """
     buckets: dict[int, list] = {}
     rule([[code], 0, 0], 1, buckets, [], [])
-    return [decode(child) for bucket in buckets.values() for child in bucket]
+    return [_decode(scaled, child) for bucket in buckets.values() for child in bucket]
 
 
 def binheap_root(s: ScaledSet) -> IndexSubset:
@@ -182,15 +167,14 @@ def binheap_children(node: IndexSubset, s: ScaledSet) -> list[IndexSubset]:
     The left sum is always below the right one, since scaled values are at
     least 1, so the bucket order is already left then right.
 
-    A node whose indices are not one or more ints increasing strictly
-    within [0, N) raises InputError. Its cached_sum is not read: each
+    A node that is not an IndexSubset whose indices are a tuple of one or
+    more ints increasing strictly within [0, N) raises InputError. Its cached_sum is not read: each
     child's sum is derived from the child's indices.
     """
-    checked = tuple(_checked_indices(node.indices, s.size))
+    checked = _checked_indices(node, s.size)
     if not checked:
         raise InputError(f"{node} is not a node of the power-set tree of {s.size} values")
-    children, decode, _ = _binheap_codec(s.scaled_values)
-    return _decoded_children(children, decode, _mask_of(checked))
+    return _decoded_children(_binheap_rule(s.scaled_values), s.scaled_values, _mask_of(checked))
 
 
 class Frontier:
@@ -206,30 +190,31 @@ class Frontier:
     whose smallest pending sum never falls. Sums may be any integers,
     negative or wider than 64 bits.
 
-    A node is held as a code: on the solver's path a plain int (see
-    subtree_frontier and binheap_frontier). Pending codes wait in buckets,
-    one list per distinct pending sum, in insertion order, and the heap
-    sums orders only the distinct sums, as in Dial's bucket queue. A child
-    whose sum is already pending costs one append and no heap sift, and the
-    only objects the garbage collector tracks are the bucket lists, not
-    the nodes. select calls the rule (see _Rule) once per chunk of at most
-    _CHUNK nodes, and the rule drains buckets in pop order from a cursor
-    [bucket, head, sum]. A drained bucket leaves the map when the heap
-    hands out its sum, so a child with its parent's sum opens a new bucket
-    at that sum, and a run of nodes sharing a sum is expanded and staged
-    without any per-node bookkeeping. The pending count is the cursor's bucket past head plus
-    every bucket in sums; a registered bucket may sit at the cursor's own
-    sum. The memo holds each popped code, and only the code: a code
-    becomes an IndexSubset, its sum derived from its indices, only when
-    select returns its rank. Where the tree's widest code fits in 64 bits
-    (up to 64 values, in either tree, as a code is a bit mask), the memo
-    is an array of 8-byte codes, about a fifth of what a list of int codes
-    costs. The rule stages each chunk's codes in a short list,
-    and select packs the chunk into the memo, in a finally clause, so the
-    nodes a call expanded are memoized even when it raises. A wider tree,
-    and Frontier(root, expand), keep a list memo. Expansion never reads the
-    memo, so it can drop a prefix: ranks up to base are forgotten, and
-    nodes_expanded is base plus the memo's length.
+    A node is held as a code: on the solver's path the bit mask of its
+    indices, in either tree (see subtree_frontier and binheap_frontier).
+    Pending codes wait in buckets, one list per distinct pending sum, in
+    insertion order, and the heap sums orders only the distinct sums, as in
+    Dial's bucket queue. A child whose sum is already pending costs one
+    append and no heap sift, and the only objects the garbage collector
+    tracks are the bucket lists, not the nodes. select calls the rule (see
+    _Rule) once per chunk of at most _CHUNK nodes, and the rule drains
+    buckets in pop order from a cursor [bucket, head, sum]. A drained
+    bucket leaves the map when the heap hands out its sum, so a child with
+    its parent's sum opens a new bucket at that sum, and a run of nodes
+    sharing a sum is expanded and staged without any per-node bookkeeping.
+    The pending count is the cursor's bucket past head plus every bucket in
+    sums; a registered bucket may sit at the cursor's own sum. The memo
+    holds each popped code, and only the code: a code becomes an
+    IndexSubset, through _decode, which derives the sum from the indices,
+    only when select returns its rank. Where the tree's widest code fits in
+    64 bits (up to 64 values, in either tree, as a code is a bit mask), the
+    memo is an array of 8-byte codes, about a fifth of what a list of int
+    codes costs (see _coded). The rule stages each chunk's codes in a short
+    list, and select packs the chunk into the memo, in a finally clause, so
+    the nodes a call expanded are memoized even when it raises. A wider
+    tree, and Frontier(root, expand), keep a list memo. Expansion never
+    reads the memo, so it can drop a prefix: ranks up to base are
+    forgotten, and nodes_expanded is base plus the memo's length.
 
     A frontier that solve or solve_positive builds for its own rank search,
     and never hands out, forgets: whenever a probe rises above the previous
@@ -286,23 +271,27 @@ class Frontier:
             finally:
                 cursor[:] = bucket, head, total
 
-        self._start(root, root.cached_sum, rule, lambda node: node, _ListMemo, None, False)
+        self._start(root, root.cached_sum, rule, lambda node: node, _ListMemo(), None, False)
 
     @classmethod
-    def _coded(
-        cls, code: int, total: int, rule: _Rule, decode: _Decode, memo: _Memo, size: int, forgets: bool
-    ) -> Frontier:
-        """A frontier over int codes of a tree of size subsets; decode(code) gives the subset.
+    def _coded(cls, code: int, total: int, rule: _Rule, scaled: Sequence[int], size: int, forgets: bool) -> Frontier:
+        """A frontier over the mask codes of a tree of size subsets of scaled; _decode gives each subset.
 
-        memo() makes the empty memo, as the codec gives it. forgets is True
-        only for the solver's own rank-search frontiers.
+        A mask has one bit per value, so the codes of up to 64 values are
+        packed into an array of 8-byte unsigned ints, where a list pays an
+        8-byte slot plus an int object of about 32 bytes per code; more
+        values keep a list. array.fromlist packs a chunk about three times
+        as fast as array.extend, which converts one item at a time as it
+        grows the array. forgets is True only for the solver's own
+        rank-search frontiers.
         """
         frontier = cls.__new__(cls)
-        frontier._start(code, total, rule, decode, memo, size, forgets)
+        memo = array("Q") if len(scaled) <= 64 else _ListMemo()
+        frontier._start(code, total, rule, partial(_decode, scaled), memo, size, forgets)
         return frontier
 
     def _start(
-        self, code: object, total: int, rule: Callable, decode: Callable, memo: Callable, size: int | None,
+        self, code: object, total: int, rule: Callable, decode: Callable, memo: list | array, size: int | None,
         forgets: bool,
     ) -> None:
         self._rule, self._decode, self._size = rule, decode, size
@@ -311,7 +300,7 @@ class Frontier:
         self._sums: list[int] = []
         self._base = 0  # ranks 1..base are forgotten; the memo holds ranks base+1 onward
         self._probe = 0 if forgets else None  # the previous rank selected, on a frontier that forgets
-        self._popped = memo()
+        self._popped = memo
 
     @property
     def nodes_expanded(self) -> int:
@@ -380,7 +369,8 @@ def binheap_frontier(s: ScaledSet) -> Frontier:
 def _binheap_frontier(s: ScaledSet, forgets: bool) -> Frontier:
     """binheap_frontier, or with forgets=True the solver's rank-search frontier that forgets (see Frontier)."""
     root = 1  # the mask of {0}
-    return Frontier._coded(root, s.scaled_values[0], *_binheap_codec(s.scaled_values), (1 << s.size) - 1, forgets)
+    scaled = s.scaled_values
+    return Frontier._coded(root, scaled[0], _binheap_rule(scaled), scaled, (1 << s.size) - 1, forgets)
 
 
 def lower_bound_rank_search(

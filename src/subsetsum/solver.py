@@ -25,7 +25,7 @@ from .model import (
     unscale,
 )
 from .powerset import Frontier, _binheap_frontier, lower_bound_rank_search
-from .subset_tree import _subtree_codec
+from .subset_tree import _subtree_rule
 
 
 class OrderTrace(NamedTuple):
@@ -126,7 +126,7 @@ def solve(input_set: InputSet, *, range_check: bool = True) -> SolveOutcome:
         raise InputError(f"range_check must be a bool, got {range_check!r}")
     s = normalize(input_set)
     scaled, size = s.scaled_values, s.size
-    children, decode, memo = _subtree_codec(scaled)
+    children = _subtree_rule(scaled)
     orders: list[OrderTrace] = []
     found = None
     low = high = 0  # the sums of the order smallest and of the order largest scaled values
@@ -138,7 +138,7 @@ def solve(input_set: InputSet, *, range_check: bool = True) -> SolveOutcome:
             orders.append(OrderTrace(order, scaled_target, (), False, 0))
             continue
         root = (1 << order) - 1  # the mask of the order smallest values
-        frontier = Frontier._coded(root, low, children, decode, memo, math.comb(size, order), True)
+        frontier = Frontier._coded(root, low, children, scaled, math.comb(size, order), True)
         found, record = _rank_search(frontier, order, scaled_target)
         orders.append(record)
         if found is not None:

@@ -46,6 +46,7 @@ def test_every_public_name_resolves():
 
 def test_index_subset_has_no_from_indices():
     assert not hasattr(IndexSubset, "from_indices")
+    assert IndexSubset._fields == ("indices", "cached_sum")
 
 
 def test_power_set_view_is_internal():

@@ -1,17 +1,18 @@
 """The solver's integer-coded frontiers against the IndexSubset view.
 
-subtree_frontier and binheap_frontier hold each node as a plain int and
-decode only the ranks select returns. Frontier(root, expand) over the
-views subtree_children/binheap_children runs the same loop over
-IndexSubset nodes. Both must give the same subset, sum and
-min_modified_pos at every rank, and a coded frontier must hold no tracked
-object per expanded node. Since each rule drains the sum buckets itself,
-a run of equal sums at a time, each select must also leave every code a
-rule produced exactly once pending or in the memo, and must expand exactly
-the nodes up to its rank. The solver's own frontiers forget the ranks
-its rank search has passed; public ones must still serve every rank in any
-order. A coded frontier packs its memo into 8-byte codes while the tree's
-widest code fits in 64 bits, and keeps a list past that.
+subtree_frontier and binheap_frontier hold each node as one int, the bit
+mask of its indices, and decode only the ranks select returns, through
+the one decoder both trees share. Frontier(root, expand) over the views
+subtree_children/binheap_children runs the same loop over IndexSubset
+nodes. Both must give the same indices and sum at every rank, and a coded
+frontier must hold no tracked object per expanded node. Since each rule
+drains the sum buckets itself, a run of equal sums at a time, each select
+must also leave every code a rule produced exactly once pending or in the
+memo, and must expand exactly the nodes up to its rank. The solver's own
+frontiers forget the ranks its rank search has passed; public ones must
+still serve every rank in any order. A coded frontier packs its memo into
+8-byte codes while the tree's widest code fits in 64 bits, and keeps a
+list past that.
 """
 
 import gc
@@ -59,9 +60,7 @@ def _assert_agree(coded, viewed, ranks, scaled):
     # checked against one taken here.
     for k in ranks:
         got, expected = coded.select(k), viewed.select(k)
-        assert (got.indices, got.cached_sum, got.min_modified_pos) == (
-            expected.indices, expected.cached_sum, expected.min_modified_pos
-        ), k
+        assert (got.indices, got.cached_sum) == (expected.indices, expected.cached_sum), k
         assert got.cached_sum == sum(scaled[i] for i in got.indices), k
     assert coded.nodes_expanded == viewed.nodes_expanded
 

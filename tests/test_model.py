@@ -7,9 +7,12 @@ from subsetsum import (
     InputError,
     InputSet,
     ScaledSet,
+    SubsetTree,
     normalize,
+    subtree_children,
     unscale,
 )
+from subsetsum.powerset import binheap_children
 
 values_strategy = st.lists(st.integers(-100, 100), min_size=1, max_size=12)
 
@@ -125,6 +128,33 @@ class TestUnscale:
         s = normalize(InputSet((-7, -3, -2, 5, 8), 0))
         with pytest.raises(InputError, match="^indices"):
             unscale(IndexSubset(indices, 0), s)
+
+
+_S = ScaledSet((1, 5, 6, 13, 16))
+_NOT_SUBSETS = {
+    "none": None,
+    "bare-tuple": (0, 1),
+    "indices-tuple": ((0, 1), 6),
+    "str": "01",
+    "list-indices": IndexSubset([0, 1], 6),
+    "generator-indices": IndexSubset((i for i in (0, 1)), 6),
+    "none-indices": IndexSubset(None, 6),
+}
+_SUBSET_CALLS = {
+    "unscale": lambda subset: unscale(subset, _S),
+    "subtree_children": lambda node: subtree_children(node, SubsetTree(_S, 2)),
+    "binheap_children": lambda node: binheap_children(node, _S),
+}
+
+
+@pytest.mark.parametrize("bad", list(_NOT_SUBSETS.values()), ids=list(_NOT_SUBSETS))
+@pytest.mark.parametrize("call", list(_SUBSET_CALLS.values()), ids=list(_SUBSET_CALLS))
+def test_non_subset_is_refused_with_input_error(call, bad):
+    # Every call that reads a subset's indices refuses, by one type guard,
+    # anything but an IndexSubset holding a tuple of indices.
+    with pytest.raises(InputError, match="^expected an IndexSubset"):
+        call(bad)
+    assert call(IndexSubset((0, 1), 6)) is not None
 
 
 @given(values_strategy, st.data())

@@ -25,14 +25,19 @@ from subsetsum import (
 from subsetsum.powerset import binheap_children, binheap_root
 
 
-def reference_subtree_children(node, tree):
+def reference_subtree_children(node, min_pos, tree):
+    """The paper's children of a node that advanced position min_pos (0 for the root), each with its own position.
+
+    The position is tracked here, beside the node, and not derived from the
+    indices, so the tests can check what the coded rule derives from them.
+    """
     scaled = tree.scaled.scaled_values
     size = len(scaled)
     n = tree.n
     base = node.indices
     base_sum = node.cached_sum
     children = []
-    for pos in range(n - 1, node.min_modified_pos - 1, -1):
+    for pos in range(n - 1, min_pos - 1, -1):
         indices = list(base)
         total = base_sum
         slot = pos
@@ -44,7 +49,7 @@ def reference_subtree_children(node, tree):
                 slot += 1
                 nxt += 1
             else:
-                children.append(IndexSubset(tuple(indices), total, pos))
+                children.append((IndexSubset(tuple(indices), total), pos))
                 break
     return children
 
@@ -92,7 +97,7 @@ def _sets():
 
 
 def _all_nodes(root, children_of):
-    """Every node of a tree, reached through the reference generator."""
+    """Every node of a tree, reached through a reference generator; for the subset tree, (node, position) pairs."""
     stack, nodes = [root], []
     while stack:
         node = stack.pop()
@@ -111,27 +116,29 @@ def test_subtree_children_match_reference_on_every_node(values):
     s = ScaledSet(values)
     for n in range(1, len(values) + 1):
         tree = SubsetTree(s, n)
-        nodes = _all_nodes(subtree_root(s, n), lambda node: reference_subtree_children(node, tree))
+        nodes = _all_nodes((subtree_root(s, n), 0), lambda item: reference_subtree_children(*item, tree))
         assert len(nodes) == tree.total
-        for node in nodes:
-            _assert_same_children(subtree_children(node, tree), reference_subtree_children(node, tree))
+        for node, pos in nodes:
+            expected = [child for child, _ in reference_subtree_children(node, pos, tree)]
+            _assert_same_children(subtree_children(node, tree), expected)
 
 
 @pytest.mark.parametrize("size", range(1, 10))
 def test_min_modified_pos_is_the_start_of_the_top_run(size):
-    # The reference honours any min_modified_pos, so the invariant the coded
-    # rule rests on is checked here on trees it does not build: a node's
-    # position counts its indices below its top run of consecutive indices.
+    # The reference honours any position it is given, so the invariant the
+    # coded rule rests on is checked here on trees it does not build: the
+    # position a node advanced counts its indices below its top run of
+    # consecutive indices.
     s = ScaledSet(tuple(range(1, size + 1)))
     for n in range(1, size + 1):
         tree = SubsetTree(s, n)
-        nodes = _all_nodes(subtree_root(s, n), lambda node: reference_subtree_children(node, tree))
+        nodes = _all_nodes((subtree_root(s, n), 0), lambda item: reference_subtree_children(*item, tree))
         assert len(nodes) == tree.total
-        for node in nodes:
+        for node, pos in nodes:
             start = n - 1
             while start and node.indices[start - 1] == node.indices[start] - 1:
                 start -= 1
-            assert node.min_modified_pos == start, node
+            assert pos == start, node
 
 
 @pytest.mark.parametrize("values", list(_sets()), ids=str)

@@ -4,9 +4,10 @@ Each mutant is one named, exact-string edit to one file under src/subsetsum/,
 or a few such edits to the same file when it moves a statement. Every edit
 must match its file exactly once, checked for the whole list
 before any mutant runs, so a refactor that moves the code fails loudly and
-the list gets updated. For each mutant the script copies src/, tests/ and
-pyproject.toml to a temporary directory, applies the edit there and runs
-``python -m pytest -x -q tests`` under a timeout and an address-space cap.
+the list gets updated. For each mutant the script copies src/, tests/,
+tools/ (which a test imports) and pyproject.toml to a temporary directory,
+applies the edit there and runs ``python -m pytest -x -q tests`` under a
+timeout and an address-space cap.
 A mutant is killed when the run fails. A run that outlives the timeout is a
 hang: it counts as killed, but is reported as a hang. A mutant marked
 equivalent changes no behaviour and must survive; it checks that the
@@ -102,10 +103,6 @@ MUTANTS = (
         "mid = (lo + hi) // 2", "mid = (lo + hi + 1) // 2",
     ),
     Mutant(
-        "decode-drops-min-modified-pos", "the fixed-length decode leaves min_modified_pos at 0", "subset_tree.py",
-        ", (mask & (1 << first) - 1).bit_count())", ")",
-    ),
-    Mutant(
         "decode-sum-skips-one", "decode sums all indices but the top one", "powerset.py",
         "total += scaled[i]", "total += scaled[i] if mask != low else 0",
     ),
@@ -137,8 +134,17 @@ MUTANTS = (
     ),
     Mutant(
         "view-sums-from-zero", "the views keep each bucket's key as the child's sum", "powerset.py",
-        "return [decode(child) for bucket in buckets.values() for child in bucket]",
-        "return [decode(child)._replace(cached_sum=key) for key, bucket in buckets.items() for child in bucket]",
+        "return [_decode(scaled, child) for bucket in buckets.values() for child in bucket]",
+        "return [_decode(scaled, child)._replace(cached_sum=key)"
+        " for key, bucket in buckets.items() for child in bucket]",
+    ),
+    Mutant(
+        "view-ignores-length", "subtree_children skips the check that a node holds tree.n indices", "subset_tree.py",
+        "if len(checked) != tree.n:", "if False:",
+    ),
+    Mutant(
+        "no-subset-type-guard", "the index check reads any object as an IndexSubset", "model.py",
+        "if not (isinstance(subset, IndexSubset) and type(subset.indices) is tuple):", "if False:",
     ),
     Mutant(
         "run-overshoots", "the fixed-length rule takes a bucket whole even when it is longer than count",
@@ -165,12 +171,12 @@ MUTANTS = (
     ),
     Mutant(
         "packed-memo-admits-65-bits", "the memo packs codes of up to 65 bits into 8-byte slots", "powerset.py",
-        'return partial(array, "Q") if bits <= 64 else _ListMemo',
-        'return partial(array, "Q") if bits <= 65 else _ListMemo',
+        'memo = array("Q") if len(scaled) <= 64 else _ListMemo()',
+        'memo = array("Q") if len(scaled) <= 65 else _ListMemo()',
     ),
     Mutant(
         "signed-packed-memo", "the packed memo holds signed 8-byte codes", "powerset.py",
-        'partial(array, "Q")', 'partial(array, "q")',
+        'array("Q")', 'array("q")',
     ),
     Mutant(
         "chunk-unflushed-on-raise", "select drops the staged codes of a rule call that raised", "powerset.py",
@@ -225,6 +231,7 @@ def run_mutant(m: Mutant) -> tuple[str, float, str]:
         copy = Path(tmp)
         shutil.copytree(ROOT / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
         shutil.copytree(ROOT / "tests", copy / "tests", ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copytree(ROOT / "tools", copy / "tools", ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", copy)
         target = copy / PACKAGE / m.path
         text = target.read_text(encoding="utf-8")
