@@ -32,7 +32,8 @@ class InputError(ValueError):
     values that are not a nonempty iterable of 64-bit signed integers, a
     target that is not one, a subset length that is not an int in [1, N],
     a rank that is not an int in [1, tree size], a rank-search total that
-    is not an int of at least 1, a child whose sum is below its parent's
+    is not an int of at least 1, a rank-search target that is not an int
+    or rank log that is not a list, a child whose sum is below its parent's
     in Frontier(root, expand), and a rank that one of the solver's own
     rank-search frontiers has forgotten (those frontiers are never handed
     out, see Frontier). It also covers a subset given to unscale, or a node

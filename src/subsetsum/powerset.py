@@ -55,7 +55,11 @@ from .model import IndexSubset, InputError, ScaledSet, _checked_indices
 # Frontier._coded) with one call: a pack into an array costs about 40 ns a
 # call, and packing each run as it is expanded would pay that for most
 # nodes, since most runs hold one node. A code is a node's bit mask, for
-# either tree; _decode maps it to the IndexSubset it stands for.
+# either tree; _decode maps it to the IndexSubset it stands for. A rule's
+# factory builds, once, tables of every mask and gain that depends only on
+# a position, and the rule indexes them by the node's bit_length: a shift
+# whose result passes 256 makes a new int object, so a shift per node or
+# per child would allocate one for most nodes of a tree past 8 values.
 _Rule = Callable[[list, int, dict[int, list], list[int], list], None]
 
 # The most nodes one call to the rule expands. select stages them in a list
@@ -98,36 +102,44 @@ def _decode(scaled: Sequence[int], mask: int) -> IndexSubset:
 def _binheap_rule(scaled: Sequence[int]) -> _Rule:
     """The child rule of the power-set tree over scaled (see _Rule).
 
-    It files the left child, then the right. The left child moves the top
-    bit up by one; the right child adds the bit above it. A node whose top
-    bit is the last index has no children.
+    It files the left child, then the right. With nxt = the mask's
+    bit_length, the index just above the top bit, the left child moves the
+    top bit up to nxt and the right child adds bit nxt. A node whose top bit
+    is the last index has no children. Every constant the two children need
+    depends only on nxt, so the rule builds them once, in tables indexed by
+    nxt: bit[nxt] = 1 << nxt, move[nxt] = 3 << nxt - 1, which clears the top
+    bit and sets bit nxt in one xor, and gap[nxt] = scaled[nxt] -
+    scaled[nxt - 1], the left child's gain. A shift whose result passes 256
+    makes a new int object, so computing these per node paid an allocation
+    for each of them past bit 8.
     """
     size = len(scaled)
+    bit = [1 << b for b in range(size)]
+    move = [0] + [3 << b - 1 for b in range(1, size)]
+    gap = [0] + [scaled[b] - scaled[b - 1] for b in range(1, size)]
 
     def children(cursor: list, count: int, buckets: dict[int, list], sums: list[int], popped: list) -> None:
         bucket, head, total = cursor
         while True:
             run = bucket[head : head + count] if head or len(bucket) > count else bucket
             for mask in run:
-                top = mask.bit_length() - 1
-                nxt = top + 1
+                nxt = mask.bit_length()
                 if nxt >= size:
                     continue
-                step = scaled[nxt]
-                left = total - scaled[top] + step
+                left = total + gap[nxt]
                 pending = buckets.get(left)
                 if pending is None:
-                    buckets[left] = [mask ^ 1 << top | 1 << nxt]
+                    buckets[left] = [mask ^ move[nxt]]
                     heappush(sums, left)
                 else:
-                    pending.append(mask ^ 1 << top | 1 << nxt)
-                right = total + step
+                    pending.append(mask ^ move[nxt])
+                right = total + scaled[nxt]
                 pending = buckets.get(right)
                 if pending is None:
-                    buckets[right] = [mask | 1 << nxt]
+                    buckets[right] = [mask | bit[nxt]]
                     heappush(sums, right)
                 else:
-                    pending.append(mask | 1 << nxt)
+                    pending.append(mask | bit[nxt])
             popped += run
             count -= len(run)
             if count <= 0:
@@ -386,10 +398,15 @@ def lower_bound_rank_search(
     probed rank is appended to rank_log, after whatever it already holds.
     Returns the match (or None) and this call's number of rank probes,
     which is at most ceil(log2(total)) + 1. A total that is not an int of
-    at least 1 raises InputError before any probe.
+    at least 1, a target that is not an int (a bool is not one) and a
+    rank_log that is not a list raise InputError before any probe.
     """
     if type(total) is not int or total < 1:
         raise InputError(f"total must be an int of at least 1, got {total!r}")
+    if type(target) is not int:
+        raise InputError(f"target must be an int, got {target!r}")
+    if not isinstance(rank_log, list):
+        raise InputError(f"rank_log must be a list, got {rank_log!r}")
     start = len(rank_log)
     lo, hi = 1, total
     while lo < hi:

@@ -60,9 +60,17 @@ def _subtree_rule(scaled: Sequence[int]) -> _Rule:
     mask ^ 1 << i | 1 << past, whose sum gains scaled[past] - scaled[i]. A
     top run that already ends on the last index has no child. These sums
     never fall as i falls, so a node's children open their buckets in
-    position order.
+    position order. The masks the rule needs depend only on a position, so
+    it builds them once, in tables: bit[i] = 1 << i, and below[p] = (1 <<
+    p) - 1, whose xor with the mask clears the top run and sets the bit
+    just below it, if any, so that the xor's bit_length is the run's
+    start. A shift whose result passes 256 makes a new int object, so
+    computing these per node and per child paid an allocation for each of
+    them past bit 8.
     """
     size = len(scaled)
+    bit = [1 << i for i in range(size)]
+    below = [(1 << p) - 1 for p in range(size)]
 
     def children(cursor: list, count: int, buckets: dict[int, list], sums: list[int], popped: list) -> None:
         bucket, head, total = cursor
@@ -71,18 +79,18 @@ def _subtree_rule(scaled: Sequence[int]) -> _Rule:
             for mask in run:
                 past = mask.bit_length()
                 if past < size:
-                    first = (mask ^ (1 << past) - 1).bit_length()  # the start of the top run
+                    first = (mask ^ below[past]).bit_length()  # the start of the top run
                     gained = total + scaled[past]
-                    mask |= 1 << past
+                    mask |= bit[past]
                     i = past - 1
                     while i >= first:
                         child_sum = gained - scaled[i]
                         pending = buckets.get(child_sum)
                         if pending is None:
-                            buckets[child_sum] = [mask ^ 1 << i]
+                            buckets[child_sum] = [mask ^ bit[i]]
                             heappush(sums, child_sum)
                         else:
-                            pending.append(mask ^ 1 << i)
+                            pending.append(mask ^ bit[i])
                         i -= 1
             popped += run
             count -= len(run)

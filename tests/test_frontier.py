@@ -16,6 +16,7 @@ list past that.
 """
 
 import gc
+import itertools
 import math
 import random
 import tracemalloc
@@ -105,6 +106,24 @@ def test_coded_pairs_agree_past_eight_bit_indices():
     assert all(p.cached_sum == scaled[p.indices[0]] + scaled[p.indices[1]] for p in pairs)
     every = sorted(a + b for i, a in enumerate(scaled) for b in scaled[i + 1:])
     assert [p.cached_sum for p in pairs] == every[:3000]
+
+
+def test_power_set_pops_singletons_then_pairs_past_64_values():
+    # 70 distinct values within 100 of 10**12: every singleton sums below
+    # every pair, and every pair below every triple, so the first
+    # 70 + C(70, 2) ranks are the singletons and then the pairs, each in sum
+    # order. Past 64 values the memo is a list, and the rule's tables hold
+    # 70 entries each.
+    values = random.Random(23).sample(range(10**12, 10**12 + 101), 70)
+    frontier = binheap_frontier(ScaledSet(values))
+    ranks = 70 + math.comb(70, 2)
+    subsets = [frontier.select(k) for k in range(1, ranks + 1)]
+    singles = sorted(values)
+    pairs = sorted(a + b for a, b in itertools.combinations(values, 2))
+    assert [subset.cached_sum for subset in subsets] == singles + pairs
+    assert all(subset.cached_sum == sum(singles[i] for i in subset.indices) for subset in subsets)
+    assert len({subset.indices for subset in subsets}) == ranks
+    assert not isinstance(frontier._popped, array)
 
 
 def test_solve_finds_planted_pair_among_300_values():

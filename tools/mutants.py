@@ -72,11 +72,11 @@ MUTANTS = (
     ),
     Mutant(
         "binheap-lifo", "LIFO within a sum: the power-set right child files at the front", "powerset.py",
-        "pending.append(mask | 1 << nxt)", "pending.insert(0, mask | 1 << nxt)",
+        "pending.append(mask | bit[nxt])", "pending.insert(0, mask | bit[nxt])",
     ),
     Mutant(
         "subtree-lifo", "LIFO within a sum: a fixed-length child files at the front", "subset_tree.py",
-        "pending.append(mask ^ 1 << i)", "pending.insert(0, mask ^ 1 << i)",
+        "pending.append(mask ^ bit[i])", "pending.insert(0, mask ^ bit[i])",
     ),
     Mutant(
         "adapter-refuses-equal-sum", "Frontier(root, expand) refuses a child equal to its parent", "powerset.py",
@@ -99,6 +99,10 @@ MUTANTS = (
         "            break\n", "            pass\n",
     ),
     Mutant(
+        "no-target-type-guard", "the rank search takes a target of any type", "powerset.py",
+        "if type(target) is not int:", "if False:",
+    ),
+    Mutant(
         "upper-midpoint", "the rank search probes the upper midpoint", "powerset.py",
         "mid = (lo + hi) // 2", "mid = (lo + hi + 1) // 2",
     ),
@@ -109,12 +113,25 @@ MUTANTS = (
     Mutant(
         "subtree-below-top-run", "the fixed-length rule also advances the bit just below the top run",
         "subset_tree.py",
-        "first = (mask ^ (1 << past) - 1).bit_length()", "first = (mask ^ (1 << past) - 1).bit_length() - 1",
+        "first = (mask ^ below[past]).bit_length()", "first = (mask ^ below[past]).bit_length() - 1",
     ),
     Mutant(
         "subtree-skips-run-start", "the fixed-length rule never advances the first bit of the top run",
         "subset_tree.py",
-        "first = (mask ^ (1 << past) - 1).bit_length()", "first = (mask ^ (1 << past) - 1).bit_length() + 1",
+        "first = (mask ^ below[past]).bit_length()", "first = (mask ^ below[past]).bit_length() + 1",
+    ),
+    Mutant(
+        "binheap-gap-two-back", "the power-set rule's left-child gains are taken from two values back", "powerset.py",
+        "gap = [0] + [scaled[b] - scaled[b - 1] for b in range(1, size)]",
+        "gap = [0] + [scaled[b] - scaled[b - 2] for b in range(1, size)]",
+    ),
+    Mutant(
+        "binheap-move-keeps-top", "the power-set rule's left child keeps the top bit it moves", "powerset.py",
+        "move = [0] + [3 << b - 1 for b in range(1, size)]", "move = [0] + [1 << b for b in range(1, size)]",
+    ),
+    Mutant(
+        "subtree-below-one-wide", "the fixed-length rule's below table is one bit too wide", "subset_tree.py",
+        "below = [(1 << p) - 1 for p in range(size)]", "below = [(1 << p + 1) - 1 for p in range(size)]",
     ),
     Mutant(
         "forget-one-too-many", "forgetting drops one popped code too many", "powerset.py",
