@@ -110,27 +110,31 @@ class TestSearch:
         assert rank_log == [99, 4, 6, 5, 5]
         assert probes == 4
 
+    @pytest.mark.parametrize("total", [0, -5, True, 2.0], ids=repr)
+    def test_empty_or_non_int_range_is_refused_before_any_probe(self, total):
+        frontier = binheap_frontier(ScaledSet((1, 2, 3)))
+        rank_log = []
+        with pytest.raises(InputError, match="^total must be an int of at least 1"):
+            lower_bound_rank_search(frontier, total, 1, rank_log)
+        assert rank_log == [] and frontier.nodes_expanded == 0
+
     @pytest.mark.parametrize(
-        "total,target,rank_log,message",
+        "target,rank_log,message",
         [
-            (0, 1, [], "^total must be an int of at least 1"),
-            (-5, 1, [], "^total must be an int of at least 1"),
-            (True, 1, [], "^total must be an int of at least 1"),
-            (2.0, 1, [], "^total must be an int of at least 1"),
-            (7, "9", [], "^target must be an int"),
-            (7, None, [], "^target must be an int"),
-            (7, True, [], "^target must be an int"),
-            (7, 9.0, [], "^target must be an int"),
-            (7, 9, None, "^rank_log must be a list"),
-            (7, 9, (), "^rank_log must be a list"),
-            (7, 9, array("q"), "^rank_log must be a list"),
+            ("9", [], "^target must be an int"),
+            (None, [], "^target must be an int"),
+            (True, [], "^target must be an int"),
+            (9.0, [], "^target must be an int"),
+            (9, None, "^rank_log must be a list"),
+            (9, (), "^rank_log must be a list"),
+            (9, array("q"), "^rank_log must be a list"),
         ],
         ids=repr,
     )
-    def test_malformed_argument_is_refused_before_any_probe(self, total, target, rank_log, message):
+    def test_non_int_target_or_non_list_rank_log_is_refused_before_any_probe(self, target, rank_log, message):
         frontier = binheap_frontier(ScaledSet((2, 5, 7)))
         with pytest.raises(InputError, match=message):
-            lower_bound_rank_search(frontier, total, target, rank_log)
+            lower_bound_rank_search(frontier, 7, target, rank_log)
         assert not rank_log and frontier.nodes_expanded == 0
 
     def test_minimum_is_root(self):

@@ -4,7 +4,8 @@ Each mutant is one named, exact-string edit to one file under src/subsetsum/,
 or a few such edits to the same file when it moves a statement. Every edit
 must match its file exactly once, checked for the whole list
 before any mutant runs, so a refactor that moves the code fails loudly and
-the list gets updated. For each mutant the script copies src/, tests/,
+the list gets updated; tools/test_mutants.py makes the same check in the
+test suite. For each mutant the script copies src/, tests/,
 tools/ (which a test imports) and pyproject.toml to a temporary directory,
 applies the edit there and runs ``python -m pytest -x -q tests`` under a
 timeout and an address-space cap.
