@@ -28,19 +28,23 @@ I64_MAX = 2**63 - 1
 class InputError(ValueError):
     """An argument violates the input contract.
 
-    That covers an instance that is not an InputSet, InputSet or ScaledSet
-    values that are not a nonempty iterable of 64-bit signed integers, a
-    target that is not one, a subset length that is not an int in [1, N],
-    a rank that is not an int in [1, tree size], a rank-search total that
-    is not an int of at least 1, a rank-search target that is not an int
-    or rank log that is not a list, a child whose sum is below its parent's
-    in Frontier(root, expand), and a rank that one of the solver's own
-    rank-search frontiers has forgotten (those frontiers are never handed
-    out, see Frontier). It also covers a subset given to unscale, or a node
-    given to subtree_children or binheap_children, that is not an
-    IndexSubset whose indices are a tuple of ints increasing strictly within
-    [0, N), and a node that is not one of its tree's: one whose length is
-    not the tree's n, or an empty one in the power-set tree.
+    That covers an instance that is not an InputSet, given to normalize,
+    solve, solve_positive, dp_decision or brute_force_solve; InputSet or
+    ScaledSet values that are not a nonempty iterable of 64-bit signed
+    integers, a target that is not one, a subset length that is not an int
+    in [1, N], a rank that is not an int in [1, tree size], a rank-search
+    total that is not an int of at least 1, a rank-search target that is
+    not an int or rank log that is not a list, and a rank that one of the
+    solver's own rank-search frontiers has forgotten (those frontiers are
+    never handed out, see subsetsum.powerset._CodedFrontier). In
+    Frontier(root, expand) it covers a root that is not an IndexSubset, an
+    expand that is not callable or that returns anything but a list, and a
+    child that is not an IndexSubset or whose sum is below its parent's.
+    It also covers a subset given to unscale, or a node given to
+    subtree_children or binheap_children, that is not an IndexSubset whose
+    indices are a tuple of ints increasing strictly within [0, N), and a
+    node that is not one of its tree's: one whose length is not the tree's
+    n, or an empty one in the power-set tree.
     """
 
 
@@ -144,9 +148,14 @@ def normalize(input_set: InputSet) -> ScaledSet:
     InputError, so its checks cannot be skipped; an InputSet has checked
     its values, so they are not checked again.
     """
+    return ScaledSet._of_checked(_checked_values(input_set))
+
+
+def _checked_values(input_set: object) -> tuple[int, ...]:
+    """The values of an InputSet, whose construction checked them and its target; anything else raises InputError."""
     if not isinstance(input_set, InputSet):
         raise InputError(f"expected an InputSet, got {input_set!r}")
-    return ScaledSet._of_checked(input_set.values)
+    return input_set.values
 
 
 def unscale(subset: IndexSubset, s: ScaledSet) -> tuple[int, ...]:

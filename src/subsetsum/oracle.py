@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from .model import CapacityError, InputSet, ScaledSet, _check_length
+from .model import CapacityError, InputSet, ScaledSet, _check_length, _checked_values
 
 DP_CELL_CAP = 10**7
 BRUTE_FORCE_MAX_SIZE = 25
@@ -28,9 +28,9 @@ def dp_decision(input_set: InputSet) -> bool:
     extended to negative values by indexing sums from neg_total upward.
     Rows are kept as bitsets; a separate nonempty-subset bitset masks out
     the empty subset so a target of 0 is only reported when a nonempty
-    subset actually sums to 0.
+    subset actually sums to 0. Anything but an InputSet raises InputError.
     """
-    values = input_set.values
+    values = _checked_values(input_set)
     neg_total = sum(v for v in values if v < 0)
     pos_total = sum(v for v in values if v > 0)
     span = pos_total - neg_total + 1
@@ -54,9 +54,11 @@ def brute_force_solve(input_set: InputSet) -> tuple[int, ...] | None:
 
     Subsets are tried by increasing cardinality, then lexicographic index
     order, so any returned subset has minimum cardinality. Values are
-    returned ascending. Refuses sets larger than BRUTE_FORCE_MAX_SIZE elements.
+    returned ascending. Refuses sets larger than BRUTE_FORCE_MAX_SIZE
+    elements with CapacityError, and anything but an InputSet with
+    InputError.
     """
-    values = input_set.values
+    values = _checked_values(input_set)
     if len(values) > BRUTE_FORCE_MAX_SIZE:
         raise CapacityError(f"brute force capped at {BRUTE_FORCE_MAX_SIZE} elements, got {len(values)}")
     target = input_set.target

@@ -12,13 +12,14 @@ This module owns the node code of both trees: the bit mask of a node's
 indices into the sorted scaled set, which _decode turns into the
 IndexSubset it stands for. Each tree contributes only its child rule over
 that code: _binheap_rule here, _subtree_rule in subsetsum.subset_tree.
-binheap_frontier runs this tree over its codes; binheap_root and
-binheap_children are its IndexSubset view. That view and
-the Frontier(root, expand) adapter are internal, not exported by the
-package: subsetsum.checks, the tests and the benchmark's layer replica use
-them, and no solve reaches them. Both retire once the replica runs on the
-coded rules. The public view of the paper's subset tree is
-subtree_root/subtree_children.
+binheap_frontier runs this tree over its codes, in a _CodedFrontier, the
+bucket queue that every solve runs; binheap_root and binheap_children are
+its IndexSubset view. That view is internal, not exported by the package:
+subsetsum.checks, the tests and the benchmark's layer replica use it, and
+no solve reaches it. Frontier(root, expand) is the plain best-first heap
+over IndexSubset nodes, which only the tests and the replica build. Both
+retire once the replica runs on the coded rules. The public view of the
+paper's subset tree is subtree_root/subtree_children.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 from array import array
 from functools import partial
 from heapq import heappop, heappush
+from itertools import count
 from typing import Callable, Sequence
 
 from .model import IndexSubset, InputError, ScaledSet, _checked_indices
@@ -46,13 +48,13 @@ from .model import IndexSubset, InputError, ScaledSet, _checked_indices
 # whole (popped += run). Each child's code is appended to
 # buckets[child_sum]; a child whose sum has no bucket opens one and
 # heappushes the sum. No child_sum is below sum: the tree is heap-ordered.
-# A coded rule trusts count not to pass the last node, since select checks
-# the rank against the tree's size first. Each rule holds its own copy of
+# A rule trusts count not to pass the last node, since select checks the
+# rank against the tree's size first. Each rule holds its own copy of
 # this loop: a shared loop that called the rule once per run made the
 # planted benchmark's median solve 5-16% slower, since its buckets are
 # mostly single nodes. popped is not the memo but a list in which select
 # stages at most _CHUNK codes, and then packs them into the memo (see
-# Frontier._coded) with one call: a pack into an array costs about 40 ns a
+# _CodedFrontier) with one call: a pack into an array costs about 40 ns a
 # call, and packing each run as it is expanded would pay that for most
 # nodes, since most runs hold one node. A code is a node's bit mask, for
 # either tree; _decode maps it to the IndexSubset it stands for. A rule's
@@ -70,7 +72,7 @@ _CHUNK = 1024
 
 
 class _ListMemo(list):
-    """A memo that is a list: for codes wider than 64 bits, and for Frontier(root, expand)'s nodes.
+    """A memo that is a list, for codes wider than 64 bits.
 
     fromlist appends a list's items, as array.fromlist does, so select packs
     a chunk into either kind of memo with the same call.
@@ -189,130 +191,143 @@ def binheap_children(node: IndexSubset, s: ScaledSet) -> list[IndexSubset]:
     return _decoded_children(_binheap_rule(s.scaled_values), s.scaled_values, _mask_of(checked))
 
 
-class Frontier:
-    """Best-first expansion state over a heap-ordered subset tree.
+def _check_rank(k: object) -> None:
+    """Refuse a rank that is not an int of at least 1; bool is not a rank."""
+    if type(k) is not int or k < 1:
+        raise InputError(f"rank must be an int of at least 1, got {k!r}")
 
-    Pending nodes are popped in nondecreasing subset-sum order; equal sums
-    pop in insertion order, so every rank is deterministic. Popped nodes
-    are memoized, letting one binary search probe ranks in any order and
-    resume expansion instead of restarting it.
+
+class Frontier:
+    """Best-first expansion state over a heap-ordered tree of IndexSubset nodes.
+
+    Frontier(root, expand) takes its tree from outside code: expand(node)
+    returns the node's children as a list of IndexSubset. Pending nodes
+    wait in a heap of (sum, seq, node) entries, where seq counts the nodes
+    filed so far, so nodes pop in nondecreasing sum order and equal sums
+    pop in insertion order: every rank is deterministic. Sums may be any
+    integers, negative or wider than 64 bits. Popped nodes are memoized,
+    letting one binary search probe ranks in any order and resume
+    expansion instead of restarting it; select returns the very objects
+    expand gave.
 
     The tree must be heap-ordered, as the paper's trees are: no child's sum
-    is below its parent's. So the frontier is a monotone priority queue,
-    whose smallest pending sum never falls. Sums may be any integers,
-    negative or wider than 64 bits.
+    is below its parent's. select checks each expanded node's children
+    before it pops the node, so an expand that raises leaves the frontier
+    as it was, and so does an expand that returns anything but a list, or
+    a child that is not an IndexSubset or whose sum is below its parent's,
+    both of which raise InputError: a later call expands that node again.
+    A root that is not an IndexSubset, or an expand that is not callable,
+    raises InputError at construction.
 
-    A node is held as a code: on the solver's path the bit mask of its
-    indices, in either tree (see subtree_frontier and binheap_frontier).
-    Pending codes wait in buckets, one list per distinct pending sum, in
-    insertion order, and the heap sums orders only the distinct sums, as in
-    Dial's bucket queue. A child whose sum is already pending costs one
-    append and no heap sift, and the only objects the garbage collector
-    tracks are the bucket lists, not the nodes. select calls the rule (see
-    _Rule) once per chunk of at most _CHUNK nodes, and the rule drains
-    buckets in pop order from a cursor [bucket, head, sum]. A drained
-    bucket leaves the map when the heap hands out its sum, so a child with
-    its parent's sum opens a new bucket at that sum, and a run of nodes
-    sharing a sum is expanded and staged without any per-node bookkeeping.
-    The pending count is the cursor's bucket past head plus every bucket in
-    sums; a registered bucket may sit at the cursor's own sum. The memo
-    holds each popped code, and only the code: a code becomes an
-    IndexSubset, through _decode, which derives the sum from the indices,
-    only when select returns its rank. Where the tree's widest code fits in
-    64 bits (up to 64 values, in either tree, as a code is a bit mask), the
-    memo is an array of 8-byte codes, about a fifth of what a list of int
-    codes costs (see _coded). The rule stages each chunk's codes in a short
-    list, and select packs the chunk into the memo, in a finally clause, so
-    the nodes a call expanded are memoized even when it raises. A wider
-    tree, and Frontier(root, expand), keep a list memo. Expansion never
-    reads the memo, so it can drop a prefix: ranks up to base are
-    forgotten, and nodes_expanded is base plus the memo's length.
-
-    A frontier that solve or solve_positive builds for its own rank search,
-    and never hands out, forgets: whenever a probe rises above the previous
-    one, select drops every rank up to that previous probe. In a lower-bound
-    binary search, a rising probe proves the previous one read a sum below
-    the target, so no later probe asks for it, and the memo holds only the
-    current leg of the search: at most about half the tree, where a frontier
-    that keeps every rank grows to every node it expands. Asking for a
-    forgotten rank raises InputError. The frontiers of subtree_frontier,
-    binheap_frontier and Frontier(root, expand) forget nothing and serve
-    every rank in any order.
-
-    Frontier(root, expand) runs a loop of the same shape over IndexSubset
-    nodes, one node at a time: each node is its own code, decode is the
-    identity, and select returns the very objects expand gave. The coded
-    rules are heap-ordered by construction, because scaled values are
-    sorted; this adapter takes its tree from outside code, so it checks
-    each expanded node's children first and raises InputError for a child
-    whose sum is below its parent's, before any child is filed, and it
-    saves the cursor even when expand raises. It is internal and off the
-    solver's path: only the tests and the benchmark's layer replica build
-    one, over subtree_children or binheap_children. It retires, with the
-    power-set view, once the replica runs on the coded rules.
+    The solver does not use this class: the frontiers of subtree_frontier,
+    binheap_frontier and solve are _CodedFrontier, a bucket queue over
+    integer node codes. Only the tests and the benchmark's layer replica
+    build a Frontier(root, expand), over subtree_children or
+    binheap_children. It retires, with the power-set view, once the replica
+    runs on the coded rules.
 
     A Frontier is single-owner mutable state: concurrent searches over the
     same scaled set must each build their own.
     """
 
     def __init__(self, root: IndexSubset, expand: Callable[[IndexSubset], list[IndexSubset]]) -> None:
-        def rule(cursor: list, count: int, buckets: dict[int, list], sums: list[int], popped: list) -> None:
-            bucket, head, total = cursor
-            try:
-                for _ in range(count):
-                    if head == len(bucket):
-                        if not sums:
-                            return  # every node is expanded: select reports the rank past the end
-                        total = heappop(sums)
-                        bucket, head = buckets.pop(total), 0
-                    node = bucket[head]
-                    children = expand(node)  # a list, checked whole before the buckets change
-                    for child in children:
-                        if child.cached_sum < total:
-                            raise InputError(f"child {child} sums below its parent {node}: not a heap-ordered tree")
-                    for child in children:
-                        child_sum = child.cached_sum
-                        pending = buckets.get(child_sum)
-                        if pending is None:
-                            buckets[child_sum] = [child]
-                            heappush(sums, child_sum)
-                        else:
-                            pending.append(child)
-                    head += 1
-                    popped.append(node)
-            finally:
-                cursor[:] = bucket, head, total
+        if not isinstance(root, IndexSubset):
+            raise InputError(f"root must be an IndexSubset, got {root!r}")
+        if not callable(expand):
+            raise InputError(f"expand must be callable, got {expand!r}")
+        self._expand, self._seq = expand, count(1)  # seq numbers the filed nodes: equal sums pop in that order
+        self._heap = [(root.cached_sum, 0, root)]
+        self._popped: list[IndexSubset] = []
 
-        self._start(root, root.cached_sum, rule, lambda node: node, _ListMemo(), None, False)
+    @property
+    def nodes_expanded(self) -> int:
+        """Number of nodes popped and expanded so far."""
+        return len(self._popped)
 
-    @classmethod
-    def _coded(cls, code: int, total: int, rule: _Rule, scaled: Sequence[int], size: int, forgets: bool) -> Frontier:
-        """A frontier over the mask codes of a tree of size subsets of scaled; _decode gives each subset.
+    def select(self, k: int) -> IndexSubset:
+        """Return the rank-k subset (1-based) in nondecreasing-sum order.
 
-        A mask has one bit per value, so the codes of up to 64 values are
-        packed into an array of 8-byte unsigned ints, where a list pays an
-        8-byte slot plus an int object of about 32 bytes per code; more
-        values keep a list. array.fromlist packs a chunk about three times
-        as fast as array.extend, which converts one item at a time as it
-        grows the array. forgets is True only for the solver's own
-        rank-search frontiers.
+        Expands the heap's top node until k nodes have been popped. A rank
+        that is not an int of at least 1 raises InputError before any node
+        is expanded; a rank past the end raises InputError once every node
+        has been expanded, since the frontier does not know its tree's size.
         """
-        frontier = cls.__new__(cls)
-        memo = array("Q") if len(scaled) <= 64 else _ListMemo()
-        frontier._start(code, total, rule, partial(_decode, scaled), memo, size, forgets)
-        return frontier
+        _check_rank(k)
+        heap, popped, seq = self._heap, self._popped, self._seq
+        while len(popped) < k:
+            if not heap:
+                raise InputError(f"rank {k} exceeds the {len(popped)} subsets in this tree")
+            total, _, node = heap[0]
+            children = self._expand(node)
+            if type(children) is not list:
+                raise InputError(f"expand must return a list, got {children!r}")
+            for child in children:
+                if not isinstance(child, IndexSubset) or child.cached_sum < total:
+                    raise InputError(f"child {child!r} is not an IndexSubset or sums below its parent {node}")
+            heappop(heap)
+            popped.append(node)
+            for child in children:
+                heappush(heap, (child.cached_sum, next(seq), child))
+        return popped[k - 1]
 
-    def _start(
-        self, code: object, total: int, rule: Callable, decode: Callable, memo: list | array, size: int | None,
-        forgets: bool,
-    ) -> None:
-        self._rule, self._decode, self._size = rule, decode, size
+
+class _CodedFrontier(Frontier):
+    """Best-first expansion state over a tree's node codes, in a bucket queue; _decode gives each subset.
+
+    Pending nodes are popped in nondecreasing subset-sum order; equal sums
+    pop in insertion order, so every rank is deterministic. Popped nodes are memoized. The tree is
+    heap-ordered by construction, because scaled values are sorted, so the
+    frontier is a monotone priority queue whose smallest pending sum never
+    falls.
+
+    A node is held as a code, the bit mask of its indices, in either tree
+    (see subtree_frontier and binheap_frontier). Pending codes wait in
+    buckets, one list per distinct pending sum, in insertion order, and the
+    heap sums orders only the distinct sums, as in Dial's bucket queue. A
+    child whose sum is already pending costs one append and no heap sift,
+    and the only objects the garbage collector tracks are the bucket lists,
+    not the nodes. select calls the rule (see _Rule) once per chunk of at
+    most _CHUNK nodes, and the rule drains buckets in pop order from a
+    cursor [bucket, head, sum]. A drained bucket leaves the map when the
+    heap hands out its sum, so a child with its parent's sum opens a new
+    bucket at that sum, and a run of nodes sharing a sum is expanded and
+    staged without any per-node bookkeeping. The pending count is the
+    cursor's bucket past head plus every bucket in sums; a registered
+    bucket may sit at the cursor's own sum. The memo holds each popped
+    code, and only the code: a code becomes an IndexSubset, through
+    _decode, which derives the sum from the indices, only when select
+    returns its rank.
+
+    A mask has one bit per value, so where the tree has up to 64 values the
+    memo is an array of 8-byte unsigned ints, where a list pays an 8-byte
+    slot plus an int object of about 32 bytes per code; more values keep a
+    list. The rule stages each chunk's codes in a short list, and select
+    packs the chunk into the memo: array.fromlist packs a chunk about three
+    times as fast as array.extend, which converts one item at a time as it
+    grows the array. Expansion never reads the memo, so it can drop a
+    prefix: ranks up to base are forgotten, and nodes_expanded is base plus
+    the memo's length.
+
+    A frontier that solve or solve_positive builds for its own rank search
+    (forgets=True), and never hands out, forgets: whenever a probe rises
+    above the previous one, select drops every rank up to that previous
+    probe. In a lower-bound binary search, a rising probe proves the
+    previous one read a sum below the target, so no later probe asks for
+    it, and the memo holds only the current leg of the search: at most
+    about half the tree, where a frontier that keeps every rank grows to
+    every node it expands. Asking for a forgotten rank raises InputError.
+    The frontiers of subtree_frontier and binheap_frontier forget nothing
+    and serve every rank in any order.
+    """
+
+    def __init__(self, code: int, total: int, rule: _Rule, scaled: Sequence[int], size: int, forgets: bool) -> None:
+        self._rule, self._decode, self._size = rule, partial(_decode, scaled), size
         self._cursor = [[code], 0, total]  # [bucket, head, sum]: the bucket being drained, not in _buckets
-        self._buckets: dict[int, list] = {}
-        self._sums: list[int] = []
+        self._buckets: dict[int, list] = {}  # each distinct pending sum's codes, in insertion order
+        self._sums: list[int] = []  # the heap of the keys of _buckets
         self._base = 0  # ranks 1..base are forgotten; the memo holds ranks base+1 onward
         self._probe = 0 if forgets else None  # the previous rank selected, on a frontier that forgets
-        self._popped = memo
+        self._popped = array("Q") if len(scaled) <= 64 else _ListMemo()
 
     @property
     def nodes_expanded(self) -> int:
@@ -328,23 +343,16 @@ class Frontier:
         packs each call's nodes into the memo. When the cursor's bucket is
         drained, the rule pops the next smallest sum and takes its bucket;
         heap order means no pending sum is ever below the cursor's. Only
-        the returned rank is decoded. In Frontier(root, expand) the rule
-        works one node at a time: expand runs and its children are checked
-        before the buckets change, and the cursor is saved even when expand
-        raises, so an expand that raises, or a child below its parent,
-        leaves the frontier as it was: a later call expands that node again.
+        the returned rank is decoded.
 
-        A rank that is not an int of at least 1, or past the end of a tree
-        frontier, raises InputError before any node is expanded.
-        Frontier(root, expand) does not know its tree's size, so there the
-        rank is found past the end only when no sum is pending, after every
-        node has been expanded. On a frontier that forgets, a rank it has
-        forgotten raises InputError and changes nothing; a rank above the
-        previous probe first forgets every rank up to that probe.
+        A rank that is not an int of at least 1, or past the end of the
+        tree, raises InputError before any node is expanded. On a frontier
+        that forgets, a rank it has forgotten raises InputError and changes
+        nothing; a rank above the previous probe first forgets every rank
+        up to that probe.
         """
-        if type(k) is not int or k < 1:
-            raise InputError(f"rank must be an int of at least 1, got {k!r}")
-        if self._size is not None and k > self._size:
+        _check_rank(k)
+        if k > self._size:
             raise InputError(f"rank {k} exceeds the {self._size} subsets in this tree")
         popped, base, probe = self._popped, self._base, self._probe
         if k <= base:
@@ -355,21 +363,12 @@ class Frontier:
                 self._base = base = probe
             self._probe = k
         missing = k - base - len(popped)
-        if missing > 0:
-            staged: list = []
-            try:
-                while missing > 0:
-                    self._rule(self._cursor, min(missing, _CHUNK), self._buckets, self._sums, staged)
-                    if not staged:
-                        break  # only Frontier(root, expand) runs out: no sum is pending
-                    missing -= len(staged)
-                    popped.fromlist(staged)
-                    staged.clear()
-            finally:
-                if staged:  # the nodes a call expanded before it raised
-                    popped.fromlist(staged)
-            if missing > 0:
-                raise InputError(f"rank {k} exceeds the {base + len(popped)} subsets in this tree")
+        staged: list = []
+        while missing > 0:
+            self._rule(self._cursor, min(missing, _CHUNK), self._buckets, self._sums, staged)
+            missing -= len(staged)
+            popped.fromlist(staged)
+            staged.clear()
         return self._decode(popped[k - 1 - base])
 
 
@@ -378,11 +377,11 @@ def binheap_frontier(s: ScaledSet) -> Frontier:
     return _binheap_frontier(s, False)
 
 
-def _binheap_frontier(s: ScaledSet, forgets: bool) -> Frontier:
-    """binheap_frontier, or with forgets=True the solver's rank-search frontier that forgets (see Frontier)."""
+def _binheap_frontier(s: ScaledSet, forgets: bool) -> _CodedFrontier:
+    """binheap_frontier, or with forgets=True the solver's rank-search frontier that forgets (see _CodedFrontier)."""
     root = 1  # the mask of {0}
     scaled = s.scaled_values
-    return Frontier._coded(root, scaled[0], _binheap_rule(scaled), scaled, (1 << s.size) - 1, forgets)
+    return _CodedFrontier(root, scaled[0], _binheap_rule(scaled), scaled, (1 << s.size) - 1, forgets)
 
 
 def lower_bound_rank_search(

@@ -24,7 +24,7 @@ from .model import (
     normalize,
     unscale,
 )
-from .powerset import Frontier, _binheap_frontier, lower_bound_rank_search
+from .powerset import _binheap_frontier, _CodedFrontier, lower_bound_rank_search
 from .subset_tree import _subtree_rule
 
 
@@ -77,7 +77,7 @@ class SolveOutcome:
         return self.subset is not None
 
 
-def _rank_search(frontier: Frontier, order: int, scaled_target: int) -> tuple[IndexSubset | None, OrderTrace]:
+def _rank_search(frontier: _CodedFrontier, order: int, scaled_target: int) -> tuple[IndexSubset | None, OrderTrace]:
     """Binary-search every rank of a coded frontier for scaled_target; returns the match and the record.
 
     The frontier is the solver's own and forgets the ranks the search has
@@ -138,7 +138,7 @@ def solve(input_set: InputSet, *, range_check: bool = True) -> SolveOutcome:
             orders.append(OrderTrace(order, scaled_target, (), False, 0))
             continue
         root = (1 << order) - 1  # the mask of the order smallest values
-        frontier = Frontier._coded(root, low, children, scaled, math.comb(size, order), True)
+        frontier = _CodedFrontier(root, low, children, scaled, math.comb(size, order), True)
         found, record = _rank_search(frontier, order, scaled_target)
         orders.append(record)
         if found is not None:

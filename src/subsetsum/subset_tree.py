@@ -27,7 +27,7 @@ from heapq import heappop, heappush
 from typing import Sequence
 
 from .model import IndexSubset, InputError, ScaledSet, _check_length, _checked_indices
-from .powerset import Frontier, _decoded_children, _mask_of, _Rule
+from .powerset import Frontier, _CodedFrontier, _decoded_children, _mask_of, _Rule
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,4 +140,4 @@ def subtree_frontier(tree: SubsetTree) -> Frontier:
     """Fresh expansion state over the fixed-length subset tree."""
     scaled = tree.scaled.scaled_values
     root = (1 << tree.n) - 1
-    return Frontier._coded(root, sum(scaled[: tree.n]), _subtree_rule(scaled), scaled, tree.total, False)
+    return _CodedFrontier(root, sum(scaled[: tree.n]), _subtree_rule(scaled), scaled, tree.total, False)

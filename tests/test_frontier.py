@@ -3,16 +3,17 @@
 subtree_frontier and binheap_frontier hold each node as one int, the bit
 mask of its indices, and decode only the ranks select returns, through
 the one decoder both trees share. Frontier(root, expand) over the views
-subtree_children/binheap_children runs the same loop over IndexSubset
-nodes. Both must give the same indices and sum at every rank, and a coded
-frontier must hold no tracked object per expanded node. Since each rule
-drains the sum buckets itself, a run of equal sums at a time, each select
-must also leave every code a rule produced exactly once pending or in the
-memo, and must expand exactly the nodes up to its rank. The solver's own
-frontiers forget the ranks its rank search has passed; public ones must
-still serve every rank in any order. A coded frontier packs its memo into
-8-byte codes while the tree's widest code fits in 64 bits, and keeps a
-list past that.
+subtree_children/binheap_children is a separate implementation, a plain
+heap of IndexSubset nodes. Both must give the same indices and sum at
+every rank, and a coded frontier must hold no tracked object per
+expanded node. Since each rule drains the sum buckets itself, a run of
+equal sums at a time, each select must also leave every code a rule
+produced exactly once pending or in the memo, and must expand exactly the
+nodes up to its rank; the heap likewise holds every node expand produced
+once, pending or popped. The solver's own frontiers forget the ranks its
+rank search has passed; public ones must still serve every rank in any
+order. A coded frontier packs its memo into 8-byte codes while the tree's
+widest code fits in 64 bits, and keeps a list past that.
 """
 
 import gc
@@ -210,20 +211,33 @@ def _assert_bucket_layout(frontier, root, k):
     assert Counter(pending + memo) == Counter(_produced(frontier, root)), k
 
 
+def _assert_heap_layout(frontier, root, k):
+    """Every node expand produced once, pending in the heap or popped; each heap entry keyed by its node's sum."""
+    heap = frontier._heap
+    assert all(total == node.cached_sum for total, _, node in heap), k
+    assert len({seq for _, seq, _ in heap}) == len(heap), k
+    produced = [root] + [child for node in frontier._popped for child in frontier._expand(node)]
+    assert Counter([node for _, _, node in heap] + frontier._popped) == Counter(produced), k
+
+
 @pytest.mark.parametrize(
     "values", [(-7, -3, -2, 5, 8), (1, 1, 2, 2, 3, 3), (-4, 0, 0, 9, -4, 2, 7), (5,)], ids=str
 )
 def test_every_code_is_pending_or_popped_after_each_select(values):
     s = normalize(InputSet(values, 0))
     for coded, viewed, total in _frontier_pairs(s):
-        for frontier in (coded, viewed):
-            root_bucket, _, root_sum = frontier._cursor
-            root = (root_bucket[0], root_sum)
-            for k in range(1, total + 1):
-                frontier.select(k)
-                _assert_bucket_layout(frontier, root, k)
-            bucket, head, _ = frontier._cursor
-            assert frontier._sums == [] and frontier._buckets == {} and head == len(bucket)
+        root_bucket, _, root_sum = coded._cursor
+        root = (root_bucket[0], root_sum)
+        for k in range(1, total + 1):
+            coded.select(k)
+            _assert_bucket_layout(coded, root, k)
+        bucket, head, _ = coded._cursor
+        assert coded._sums == [] and coded._buckets == {} and head == len(bucket)
+        root = viewed._heap[0][2]
+        for k in range(1, total + 1):
+            viewed.select(k)
+            _assert_heap_layout(viewed, root, k)
+        assert viewed._heap == []
 
 
 @pytest.mark.parametrize("values", [(3,) * 8, (1, 1, 2, 2, 3, 3)], ids=str)

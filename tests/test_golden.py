@@ -9,7 +9,7 @@ keeps every heap small; the N=14 mix pins sift paths on frontiers of
 thousands of entries.
 
 The solver runs on integer-coded frontiers only. The IndexSubset views of
-both trees, their per-call decode and the Frontier(root, expand) adapter
+both trees, their per-call decode and the plain heap Frontier(root, expand)
 serve subsetsum.checks, the tests and the benchmark's layer replica, and
 the fence test pins that no solve reaches them.
 """
@@ -141,9 +141,12 @@ def test_solver_path_never_enters_the_view_layer(monkeypatch):
                 monkeypatch.setattr(module, name, _fence(name))
                 fenced.add(name)
     monkeypatch.setattr(Frontier, "__init__", _fence("Frontier.__init__"))
+    monkeypatch.setattr(Frontier, "select", _fence("Frontier.select"))
     assert fenced == set(_VIEWS)
     with pytest.raises(AssertionError, match="entered subtree_root"):
         checks.check_tree(subset_tree.SubsetTree(model.ScaledSet((1, 2, 3)), 2))
+    with pytest.raises(AssertionError, match="entered Frontier.select"):
+        object.__new__(Frontier).select(1)
 
     assert _behaviour(_instances()) == GOLDEN
     assert _behaviour(_large_instances()) == GOLDEN_N14

@@ -1,5 +1,6 @@
 import math
 from itertools import combinations
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -116,3 +117,20 @@ def test_brute_force_result_sums_to_target(instance):
             default=None,
         )
         assert len(result) == smallest
+
+
+class _LookAlike(NamedTuple):
+    """Has an InputSet's fields, but none of its checks: its values are not 64-bit ints."""
+
+    values: tuple
+    target: int
+
+
+@pytest.mark.parametrize(
+    "bad", [None, (1, 2, 3), ((1, 2, 3), 6), "1 2 3", _LookAlike((2**70, 1.5), 1)],
+    ids=["none", "bare-values", "bare-pair", "str", "look-alike"],
+)
+@pytest.mark.parametrize("oracle", [dp_decision, brute_force_solve], ids=["dp_decision", "brute_force_solve"])
+def test_oracles_refuse_anything_but_an_input_set(oracle, bad):
+    with pytest.raises(InputError, match="^expected an InputSet"):
+        oracle(bad)

@@ -5,11 +5,13 @@ the parent's indices and cascades each bump slot by slot, and a frontier
 that pops the top before pushing its children. The package's versions must
 return the same children in the same order, and pop subsets in the same
 order, tie order included, on any heap-ordered tree. Frontier(root, expand)
-must refuse a tree that is not heap-ordered without changing its state.
+must refuse a tree that is not heap-ordered, and a malformed root, expand
+or list of children, with InputError and without changing its state.
 """
 
 import heapq
 import random
+from functools import partial
 
 import pytest
 
@@ -213,10 +215,8 @@ def _with_extra_child(expand, parent, delta):
 
 
 def _pending(frontier):
-    """The pending (sum, node) pairs in pop order: the cursor's bucket past head, then each bucket in sums."""
-    bucket, head, total = frontier._cursor
-    pending = [(total, node) for node in bucket[head:]]
-    return pending + [(s, node) for s in sorted(frontier._sums) for node in frontier._buckets[s]]
+    """The pending (sum, node) pairs in pop order, read from the heap's (sum, seq, node) entries."""
+    return [(total, node) for total, _, node in sorted(frontier._heap)]
 
 
 @pytest.mark.parametrize("later", [False, True], ids=["first-expansion", "later-new-bucket"])
@@ -245,6 +245,39 @@ def test_child_below_its_parent_is_refused(later):
     got = [frontier.select(k) for k in range(1, total + 2)]
     assert got == [reference.select(k) for k in range(1, total + 2)]
     assert extra in got
+
+
+_ROOT5 = binheap_root(ScaledSet((1, 2, 2, 3, 5)))
+_EXPAND5 = partial(binheap_children, s=ScaledSet((1, 2, 2, 3, 5)))
+
+
+# (Frontier arguments, raised at construction); the rest raise at the first expansion.
+@pytest.mark.parametrize(
+    "root, expand, at_construction",
+    [
+        (None, None, True),
+        (((0,), 1), _EXPAND5, True),
+        (_ROOT5, None, True),
+        (_ROOT5, [_ROOT5], True),
+        (_ROOT5, lambda node: None, False),
+        (_ROOT5, lambda node: tuple(_EXPAND5(node)), False),
+        (_ROOT5, lambda node: [(child.indices, child.cached_sum + 1) for child in _EXPAND5(node)], False),
+        (_ROOT5, lambda node: [*_EXPAND5(node), None], False),
+    ],
+    ids=["none-none", "tuple-root", "none-expand", "list-expand", "returns-none", "returns-tuple",
+         "returns-bare-tuples", "returns-a-none-child"],
+)
+def test_malformed_frontier_is_refused_with_input_error(root, expand, at_construction):
+    if at_construction:
+        with pytest.raises(InputError, match="^(root|expand) must be"):
+            Frontier(root, expand)
+        return
+    frontier = Frontier(root, expand)
+    pending = _pending(frontier)
+    with pytest.raises(InputError, match="^(expand must return a list|child .* is not an IndexSubset)"):
+        frontier.select(2)
+    assert frontier.nodes_expanded == 0
+    assert _pending(frontier) == pending
 
 
 # Heap-ordered trees over sums no scaled set produces: negative, zero, beyond

@@ -57,6 +57,15 @@ class Mutant(NamedTuple):
         return [(self.old, self.new)]
 
 
+# Frontier(root, expand)'s last steps per node: check the children, pop the node, push the children.
+_CHECK = (
+    "                if not isinstance(child, IndexSubset) or child.cached_sum < total:\n"
+    '                    raise InputError(f"child {child!r} is not an IndexSubset or sums below its parent {node}")\n'
+)
+_PUSH = "                heappush(heap, (child.cached_sum, next(seq), child))\n"
+_POP = "            heappop(heap)\n            popped.append(node)\n"
+_LOOP = "            for child in children:\n"
+
 MUTANTS = (
     Mutant(
         "window-strict", "both reachable-window bounds made strict", "solver.py",
@@ -81,11 +90,30 @@ MUTANTS = (
     ),
     Mutant(
         "adapter-refuses-equal-sum", "Frontier(root, expand) refuses a child equal to its parent", "powerset.py",
-        "if child.cached_sum < total:", "if child.cached_sum <= total:",
+        "or child.cached_sum < total:", "or child.cached_sum <= total:",
+    ),
+    Mutant(
+        "heap-pops-before-expand", "Frontier(root, expand) pops its top before expand runs", "powerset.py",
+        ("total, _, node = heap[0]", "            heappop(heap)\n            popped.append(node)\n"),
+        ("total, _, node = heappop(heap)", "            popped.append(node)\n"),
+    ),
+    Mutant(
+        "heap-seq-never-grows", "Frontier(root, expand) files every child with the same seq", "powerset.py",
+        ("from itertools import count", "self._seq = expand, count(1)"),
+        ("from itertools import count, repeat", "self._seq = expand, repeat(1)"),
+    ),
+    Mutant(
+        "heap-pushes-before-check", "Frontier(root, expand) pushes a node's children before it checks them",
+        "powerset.py",
+        _LOOP + _CHECK + _POP + _LOOP + _PUSH, _LOOP + _PUSH + _CHECK + _POP,
+    ),
+    Mutant(
+        "no-expand-list-guard", "Frontier(root, expand) takes whatever expand returns", "powerset.py",
+        "if type(children) is not list:", "if False:",
     ),
     Mutant(
         "no-past-the-end-check", "select has no up-front past-the-end check", "powerset.py",
-        "if self._size is not None and k > self._size:", "if False:",
+        "if k > self._size:", "if False:",
     ),
     Mutant(
         "search-accepts-above-target", "the rank search accepts a sum >= target", "powerset.py",
@@ -161,6 +189,10 @@ MUTANTS = (
         "if len(checked) != tree.n:", "if False:",
     ),
     Mutant(
+        "dp-skips-input-set-guard", "dp_decision reads the values of any object", "oracle.py",
+        "values = _checked_values(input_set)\n    neg_total", "values = input_set.values\n    neg_total",
+    ),
+    Mutant(
         "no-subset-type-guard", "the index check reads any object as an IndexSubset", "model.py",
         "if not (isinstance(subset, IndexSubset) and type(subset.indices) is tuple):", "if False:",
     ),
@@ -189,21 +221,16 @@ MUTANTS = (
     ),
     Mutant(
         "packed-memo-admits-65-bits", "the memo packs codes of up to 65 bits into 8-byte slots", "powerset.py",
-        'memo = array("Q") if len(scaled) <= 64 else _ListMemo()',
-        'memo = array("Q") if len(scaled) <= 65 else _ListMemo()',
+        'self._popped = array("Q") if len(scaled) <= 64 else _ListMemo()',
+        'self._popped = array("Q") if len(scaled) <= 65 else _ListMemo()',
     ),
     Mutant(
         "signed-packed-memo", "the packed memo holds signed 8-byte codes", "powerset.py",
         'array("Q")', 'array("q")',
     ),
     Mutant(
-        "chunk-unflushed-on-raise", "select drops the staged codes of a rule call that raised", "powerset.py",
-        "if staged:  # the nodes a call expanded before it raised",
-        "if False:  # the nodes a call expanded before it raised",
-    ),
-    Mutant(
         "staging-never-cleared", "select never clears the staging list after packing it", "powerset.py",
-        "                    staged.clear()\n", "                    pass\n",
+        "            staged.clear()\n", "            pass\n",
     ),
     Mutant(
         "equivalent-clear-low-bit", "control: clear the low bit with -= in place of ^=", "powerset.py",
@@ -219,6 +246,11 @@ MUTANTS = (
         ("            for mask in run:\n", "            popped += run\n            count -= len(run)"),
         ("            popped += run\n            for mask in run:\n", "            count -= len(run)"),
         equivalent=True,
+    ),
+    Mutant(
+        "equivalent-heap-seq-from-five", "control: Frontier(root, expand) numbers the root's children from 5, not 1",
+        "powerset.py",
+        "self._seq = expand, count(1)", "self._seq = expand, count(5)", equivalent=True,
     ),
     Mutant(
         "equivalent-chunk-size", "control: select stages at most 3 codes per rule call, not 1,024", "powerset.py",
