@@ -29,17 +29,23 @@ class InputError(ValueError):
     """An argument violates the input contract.
 
     That covers an instance that is not an InputSet, given to normalize,
-    solve, solve_positive, dp_decision or brute_force_solve; InputSet or
-    ScaledSet values that are not a nonempty iterable of 64-bit signed
-    integers, a target that is not one, a subset length that is not an int
-    in [1, N], a rank that is not an int in [1, tree size], a rank-search
-    total that is not an int of at least 1, a rank-search target that is
-    not an int or rank log that is not a list, and a rank that one of the
-    solver's own rank-search frontiers has forgotten (those frontiers are
-    never handed out, see subsetsum.powerset._CodedFrontier). In
-    Frontier(root, expand) it covers a root that is not an IndexSubset, an
-    expand that is not callable or that returns anything but a list, and a
-    child that is not an IndexSubset or whose sum is below its parent's.
+    solve, solve_positive, dp_decision or brute_force_solve; a set that is
+    not a ScaledSet, given to SubsetTree, subtree_root, binheap_frontier,
+    enumerate_sorted_sums, unscale or the internal binheap_root and
+    binheap_children; a tree that is not a SubsetTree, given to
+    subtree_children or subtree_frontier; a frontier with no callable
+    select, given to lower_bound_rank_search; InputSet or ScaledSet values
+    that are not a nonempty iterable of 64-bit signed integers, a target
+    that is not one, a subset length that is not an int in [1, N], a rank
+    that is not an int in [1, tree size], a rank-search total that is not
+    an int of at least 1, a rank-search target that is not an int or rank
+    log that is not a list, and a rank that one of the solver's own
+    rank-search frontiers has forgotten (those frontiers are never handed
+    out, see subsetsum.powerset._CodedFrontier). In
+    Frontier(root, expand) it covers a root that is not an IndexSubset
+    with an int sum, an expand that is not callable or that returns
+    anything but a list, and a child that is not an IndexSubset with an
+    int sum or whose sum is below its parent's (a bool is not an int sum).
     It also covers a subset given to unscale, or a node given to
     subtree_children or binheap_children, that is not an IndexSubset whose
     indices are a tuple of ints increasing strictly within [0, N), and a
@@ -158,14 +164,21 @@ def _checked_values(input_set: object) -> tuple[int, ...]:
     return input_set.values
 
 
+def _checked_scaled(s: object) -> ScaledSet:
+    """s itself when it is a ScaledSet, which its construction checked; anything else raises InputError."""
+    if not isinstance(s, ScaledSet):
+        raise InputError(f"expected a ScaledSet, got {s!r}")
+    return s
+
+
 def unscale(subset: IndexSubset, s: ScaledSet) -> tuple[int, ...]:
     """Map an index subset back to its original values, ascending.
 
-    Anything but an IndexSubset whose indices are a tuple of ints
-    increasing strictly within [0, N) raises InputError: a negative index
-    would otherwise wrap to the end.
+    An s that is not a ScaledSet, or anything but an IndexSubset whose
+    indices are a tuple of ints increasing strictly within [0, N), raises
+    InputError: a negative index would otherwise wrap to the end.
     """
-    values = s.sorted_values
+    values = _checked_scaled(s).sorted_values
     return tuple(values[i] for i in _checked_indices(subset, len(values)))
 
 

@@ -3,18 +3,23 @@
 The decision table, the brute-force solver and the sum enumerator use
 representations unrelated to the heap-ordered trees (a bitset dynamic
 program and plain itertools enumeration, with no tree nodes), so
-agreement between the two sides is meaningful evidence. They exist to
-cross-check, never to be fast, and each raises CapacityError on inputs
-beyond its fixed cap: DP_CELL_CAP cells per decision-table row,
-BRUTE_FORCE_MAX_SIZE elements, ENUMERATION_CAP subsets.
+agreement between the two sides is meaningful evidence. Each raises
+CapacityError on inputs beyond its fixed cap: DP_CELL_CAP cells per
+decision-table row, BRUTE_FORCE_MAX_SIZE elements, ENUMERATION_CAP subsets.
+
+The enumerations keep their per-subset work in itertools and the builtin
+sum: combinations yields value tuples and sum adds each one in C, with no
+index tuple and no generator per subset. They stay simple, but not slow,
+because the benchmark checks every instance of every pool against them
+before it times a solve, and brute force was most of that set-up time.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import chain, combinations
 
-from .model import CapacityError, InputSet, ScaledSet, _check_length, _checked_values
+from .model import CapacityError, InputSet, ScaledSet, _check_length, _checked_scaled, _checked_values
 
 DP_CELL_CAP = 10**7
 BRUTE_FORCE_MAX_SIZE = 25
@@ -52,8 +57,10 @@ def dp_decision(input_set: InputSet) -> bool:
 def brute_force_solve(input_set: InputSet) -> tuple[int, ...] | None:
     """Exhaustively find a subset summing to the target, or None.
 
-    Subsets are tried by increasing cardinality, then lexicographic index
-    order, so any returned subset has minimum cardinality. Values are
+    Subsets are tried by increasing cardinality, then lexicographic order
+    of their indices into the values as given (combinations over the values
+    yields them in that order, duplicates included), so any returned subset
+    has minimum cardinality, and it is the first such one. Values are
     returned ascending. Refuses sets larger than BRUTE_FORCE_MAX_SIZE
     elements with CapacityError, and anything but an InputSet with
     InputError.
@@ -63,9 +70,9 @@ def brute_force_solve(input_set: InputSet) -> tuple[int, ...] | None:
         raise CapacityError(f"brute force capped at {BRUTE_FORCE_MAX_SIZE} elements, got {len(values)}")
     target = input_set.target
     for size in range(1, len(values) + 1):
-        for combo in combinations(range(len(values)), size):
-            if sum(values[i] for i in combo) == target:
-                return tuple(sorted(values[i] for i in combo))
+        for combo in combinations(values, size):
+            if sum(combo) == target:
+                return tuple(sorted(combo))
     return None
 
 
@@ -73,15 +80,15 @@ def enumerate_sorted_sums(s: ScaledSet, n: int | None = None) -> list[int]:
     """The scaled sums of all length-n subsets (all nonempty ones when n is None), ascending.
 
     One entry per subset, so equal sums repeat. This is the reference that
-    rank selection is tested against. A length that is not an int in
-    [1, N] raises InputError; more than ENUMERATION_CAP subsets raise
-    CapacityError.
+    rank selection is tested against. Anything but a ScaledSet, or a length
+    that is not an int in [1, N], raises InputError; more than
+    ENUMERATION_CAP subsets raise CapacityError.
     """
-    size = s.size
+    size = _checked_scaled(s).size
     if n is not None:
         _check_length(n, size)
     total = math.comb(size, n) if n is not None else (1 << size) - 1
     if total > ENUMERATION_CAP:
         raise CapacityError(f"enumeration of {total} subsets exceeds cap {ENUMERATION_CAP}")
     lengths = (n,) if n is not None else range(1, size + 1)
-    return sorted(sum(combo) for length in lengths for combo in combinations(s.scaled_values, length))
+    return sorted(map(sum, chain.from_iterable(combinations(s.scaled_values, length) for length in lengths)))

@@ -30,7 +30,7 @@ from heapq import heappop, heappush
 from itertools import count
 from typing import Callable, Sequence
 
-from .model import IndexSubset, InputError, ScaledSet, _checked_indices
+from .model import IndexSubset, InputError, ScaledSet, _checked_indices, _checked_scaled
 
 # A rule drains a frontier's pending nodes in pop order. Called as
 # rule(cursor, count, buckets, sums, popped), it expands the next count
@@ -167,8 +167,8 @@ def _decoded_children(rule: _Rule, scaled: Sequence[int], code: int) -> list[Ind
 
 
 def binheap_root(s: ScaledSet) -> IndexSubset:
-    """Root node: the singleton subset of the smallest element."""
-    return IndexSubset((0,), s.scaled_values[0])
+    """Root node: the singleton subset of the smallest element; an s that is not a ScaledSet raises InputError."""
+    return IndexSubset((0,), _checked_scaled(s).scaled_values[0])
 
 
 def binheap_children(node: IndexSubset, s: ScaledSet) -> list[IndexSubset]:
@@ -181,11 +181,12 @@ def binheap_children(node: IndexSubset, s: ScaledSet) -> list[IndexSubset]:
     The left sum is always below the right one, since scaled values are at
     least 1, so the bucket order is already left then right.
 
-    A node that is not an IndexSubset whose indices are a tuple of one or
-    more ints increasing strictly within [0, N) raises InputError. Its cached_sum is not read: each
+    An s that is not a ScaledSet, or a node that is not an IndexSubset
+    whose indices are a tuple of one or more ints increasing strictly
+    within [0, N), raises InputError. Its cached_sum is not read: each
     child's sum is derived from the child's indices.
     """
-    checked = _checked_indices(node, s.size)
+    checked = _checked_indices(node, _checked_scaled(s).size)
     if not checked:
         raise InputError(f"{node} is not a node of the power-set tree of {s.size} values")
     return _decoded_children(_binheap_rule(s.scaled_values), s.scaled_values, _mask_of(checked))
@@ -216,8 +217,9 @@ class Frontier:
     as it was, and so does an expand that returns anything but a list, or
     a child that is not an IndexSubset or whose sum is below its parent's,
     both of which raise InputError: a later call expands that node again.
-    A root that is not an IndexSubset, or an expand that is not callable,
-    raises InputError at construction.
+    A child whose sum is not an int (a bool is not one) is refused the same
+    way. A root that is not an IndexSubset with an int sum, or an expand
+    that is not callable, raises InputError at construction.
 
     The solver does not use this class: the frontiers of subtree_frontier,
     binheap_frontier and solve are _CodedFrontier, a bucket queue over
@@ -231,8 +233,8 @@ class Frontier:
     """
 
     def __init__(self, root: IndexSubset, expand: Callable[[IndexSubset], list[IndexSubset]]) -> None:
-        if not isinstance(root, IndexSubset):
-            raise InputError(f"root must be an IndexSubset, got {root!r}")
+        if not (isinstance(root, IndexSubset) and type(root.cached_sum) is int):
+            raise InputError(f"root must be an IndexSubset with an int sum, got {root!r}")
         if not callable(expand):
             raise InputError(f"expand must be callable, got {expand!r}")
         self._expand, self._seq = expand, count(1)  # seq numbers the filed nodes: equal sums pop in that order
@@ -262,8 +264,10 @@ class Frontier:
             if type(children) is not list:
                 raise InputError(f"expand must return a list, got {children!r}")
             for child in children:
-                if not isinstance(child, IndexSubset) or child.cached_sum < total:
-                    raise InputError(f"child {child!r} is not an IndexSubset or sums below its parent {node}")
+                if not (isinstance(child, IndexSubset) and type(child.cached_sum) is int) or child.cached_sum < total:
+                    raise InputError(
+                        f"child {child!r} is not an IndexSubset with an int sum or sums below its parent {node}"
+                    )
             heappop(heap)
             popped.append(node)
             for child in children:
@@ -373,8 +377,11 @@ class _CodedFrontier(Frontier):
 
 
 def binheap_frontier(s: ScaledSet) -> Frontier:
-    """Fresh expansion state over the tree of all nonempty subsets of s."""
-    return _binheap_frontier(s, False)
+    """Fresh expansion state over the tree of all nonempty subsets of s.
+
+    An s that is not a ScaledSet raises InputError.
+    """
+    return _binheap_frontier(_checked_scaled(s), False)
 
 
 def _binheap_frontier(s: ScaledSet, forgets: bool) -> _CodedFrontier:
@@ -396,10 +403,15 @@ def lower_bound_rank_search(
     equality, which stays correct when several subsets share a sum. Each
     probed rank is appended to rank_log, after whatever it already holds.
     Returns the match (or None) and this call's number of rank probes,
-    which is at most ceil(log2(total)) + 1. A total that is not an int of
-    at least 1, a target that is not an int (a bool is not one) and a
-    rank_log that is not a list raise InputError before any probe.
+    which is at most ceil(log2(total)) + 1. The frontier is read only
+    through select, so anything with a callable select may stand in for a
+    Frontier, as a timing or checking wrapper does. A frontier without one,
+    a total that is not an int of at least 1, a target that is not an int
+    (a bool is not one) and a rank_log that is not a list raise InputError
+    before any probe.
     """
+    if not callable(getattr(frontier, "select", None)):
+        raise InputError(f"expected a Frontier, or an object with its select, got {frontier!r}")
     if type(total) is not int or total < 1:
         raise InputError(f"total must be an int of at least 1, got {total!r}")
     if type(target) is not int:

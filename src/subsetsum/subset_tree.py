@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Sequence
 
-from .model import IndexSubset, InputError, ScaledSet, _check_length, _checked_indices
+from .model import IndexSubset, InputError, ScaledSet, _check_length, _checked_indices, _checked_scaled
 from .powerset import Frontier, _CodedFrontier, _decoded_children, _mask_of, _Rule
 
 
@@ -34,7 +34,8 @@ from .powerset import Frontier, _CodedFrontier, _decoded_children, _mask_of, _Ru
 class SubsetTree:
     """The implicit tree of all C(N, n) length-n subsets over a scaled set.
 
-    A length n that is not an int in [1, N] raises InputError.
+    A scaled that is not a ScaledSet, or a length n that is not an int in
+    [1, N], raises InputError.
     """
 
     scaled: ScaledSet
@@ -42,8 +43,15 @@ class SubsetTree:
     total: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        _check_length(self.n, self.scaled.size)
+        _check_length(self.n, _checked_scaled(self.scaled).size)
         object.__setattr__(self, "total", math.comb(self.scaled.size, self.n))
+
+
+def _checked_tree(tree: object) -> SubsetTree:
+    """tree itself when it is a SubsetTree, which its construction checked; anything else raises InputError."""
+    if not isinstance(tree, SubsetTree):
+        raise InputError(f"expected a SubsetTree, got {tree!r}")
+    return tree
 
 
 def _subtree_rule(scaled: Sequence[int]) -> _Rule:
@@ -104,8 +112,12 @@ def _subtree_rule(scaled: Sequence[int]) -> _Rule:
 
 
 def subtree_root(s: ScaledSet, n: int) -> IndexSubset:
-    """Root node: the n smallest elements, whose top run is all of them, so its children may advance any position."""
-    _check_length(n, s.size)
+    """Root node: the n smallest elements, whose top run is all of them, so its children may advance any position.
+
+    An s that is not a ScaledSet, or a length n that is not an int in [1,
+    N], raises InputError.
+    """
+    _check_length(n, _checked_scaled(s).size)
     return IndexSubset(tuple(range(n)), sum(s.scaled_values[:n]))
 
 
@@ -124,12 +136,12 @@ def subtree_children(node: IndexSubset, tree: SubsetTree) -> list[IndexSubset]:
     decodes; the rule opens its buckets in position order.
 
     Every length-n subset is exactly one node of the tree, so the indices
-    are the whole node. A node that is not an IndexSubset whose indices are
-    a tuple of n ints increasing strictly within [0, N) raises InputError.
-    Its cached_sum is not read: each child's sum is derived from the
-    child's indices.
+    are the whole node. A tree that is not a SubsetTree, or a node that is
+    not an IndexSubset whose indices are a tuple of n ints increasing
+    strictly within [0, N), raises InputError. Its cached_sum is not read:
+    each child's sum is derived from the child's indices.
     """
-    scaled = tree.scaled.scaled_values
+    scaled = _checked_tree(tree).scaled.scaled_values
     checked = _checked_indices(node, len(scaled))
     if len(checked) != tree.n:
         raise InputError(f"{node} is not a node of the tree of {tree.n}-subsets of {len(scaled)} values")
@@ -137,7 +149,7 @@ def subtree_children(node: IndexSubset, tree: SubsetTree) -> list[IndexSubset]:
 
 
 def subtree_frontier(tree: SubsetTree) -> Frontier:
-    """Fresh expansion state over the fixed-length subset tree."""
-    scaled = tree.scaled.scaled_values
+    """Fresh expansion state over the fixed-length subset tree; a tree that is not a SubsetTree raises InputError."""
+    scaled = _checked_tree(tree).scaled.scaled_values
     root = (1 << tree.n) - 1
     return _CodedFrontier(root, sum(scaled[: tree.n]), _subtree_rule(scaled), scaled, tree.total, False)

@@ -8,11 +8,16 @@ from subsetsum import (
     InputSet,
     ScaledSet,
     SubsetTree,
+    binheap_frontier,
+    enumerate_sorted_sums,
+    lower_bound_rank_search,
     normalize,
     subtree_children,
+    subtree_frontier,
+    subtree_root,
     unscale,
 )
-from subsetsum.powerset import binheap_children
+from subsetsum.powerset import binheap_children, binheap_root
 
 values_strategy = st.lists(st.integers(-100, 100), min_size=1, max_size=12)
 
@@ -155,6 +160,35 @@ def test_non_subset_is_refused_with_input_error(call, bad):
     with pytest.raises(InputError, match="^expected an IndexSubset"):
         call(bad)
     assert call(IndexSubset((0, 1), 6)) is not None
+
+
+_TREE = SubsetTree(_S, 2)
+# Each entry that takes a ScaledSet, a SubsetTree or a Frontier, as (type, call with the argument under test).
+_TYPED_CALLS = {
+    "enumerate_sorted_sums": ("ScaledSet", lambda arg: enumerate_sorted_sums(arg, 2)),
+    "SubsetTree": ("ScaledSet", lambda arg: SubsetTree(arg, 2)),
+    "subtree_root": ("ScaledSet", lambda arg: subtree_root(arg, 2)),
+    "binheap_frontier": ("ScaledSet", lambda arg: binheap_frontier(arg)),
+    "unscale": ("ScaledSet", lambda arg: unscale(IndexSubset((0, 1), 6), arg)),
+    "binheap_root": ("ScaledSet", lambda arg: binheap_root(arg)),
+    "binheap_children": ("ScaledSet", lambda arg: binheap_children(IndexSubset((0, 1), 6), arg)),
+    "subtree_children": ("SubsetTree", lambda arg: subtree_children(IndexSubset((0, 1), 6), arg)),
+    "subtree_frontier": ("SubsetTree", lambda arg: subtree_frontier(arg)),
+    "lower_bound_rank_search": ("Frontier", lambda arg: lower_bound_rank_search(arg, 3, 12, [])),
+}
+_GOOD = {"ScaledSet": _S, "SubsetTree": _TREE, "Frontier": subtree_frontier(_TREE)}
+_WRONG_TYPES = {"none": None, "str": "ab", "bare-values": (1, 5, 6), "input-set": InputSet((1, 5), 6)}
+
+
+@pytest.mark.parametrize("bad", list(_WRONG_TYPES.values()), ids=list(_WRONG_TYPES))
+@pytest.mark.parametrize("entry", list(_TYPED_CALLS))
+def test_argument_of_the_wrong_type_is_refused_with_input_error(entry, bad):
+    # One guard per argument type, at the entry: its message names the type.
+    # The guards are plain raises, so python -O keeps them.
+    kind, call = _TYPED_CALLS[entry]
+    with pytest.raises(InputError, match=f"^expected a {kind}"):
+        call(bad)
+    assert call(_GOOD[kind]) is not None
 
 
 @given(values_strategy, st.data())

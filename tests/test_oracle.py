@@ -3,7 +3,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subsetsum import (
@@ -117,6 +117,47 @@ def test_brute_force_result_sums_to_target(instance):
             default=None,
         )
         assert len(result) == smallest
+
+
+def _subsets_in_trial_order(size):
+    """Every nonempty subset of range(size) as an ascending index tuple, read off its bit mask.
+
+    They come ordered by popcount, then by the index tuple: the order in
+    which brute force must try subsets. This reference shares nothing with
+    the oracle but the order it is specified to follow.
+    """
+    subsets = [tuple(i for i in range(size) if mask >> i & 1) for mask in range(1, 1 << size)]
+    return sorted(subsets, key=lambda indices: (len(indices), indices))
+
+
+# Few distinct values, so draws hold duplicates, zeros and negatives, and
+# most targets are hit by several subsets of the smallest size.
+crowded_values = st.lists(st.integers(-5, 5), min_size=1, max_size=10)
+
+
+@given(st.tuples(crowded_values, st.integers(-15, 15)).map(lambda pair: InputSet(tuple(pair[0]), pair[1])))
+@example(InputSet((3, 1, 2, 4), 5))  # (3, 2) is the first pair to hit, (1, 4) the last
+@example(InputSet((2, -2, 0, 2), 0))  # the first hit is the zero itself; its duplicates come later
+@settings(max_examples=300)
+def test_brute_force_returns_the_first_hit_in_mask_order(instance):
+    values = instance.values
+    first = next(
+        (indices for indices in _subsets_in_trial_order(len(values))
+         if sum(values[i] for i in indices) == instance.target),
+        None,
+    )
+    expected = None if first is None else tuple(sorted(values[i] for i in first))
+    assert brute_force_solve(instance) == expected
+
+
+@given(crowded_values)
+@settings(max_examples=100)
+def test_enumerate_sorted_sums_matches_mask_enumeration(values):
+    s = ScaledSet(values)
+    sums = {indices: sum(s.scaled_values[i] for i in indices) for indices in _subsets_in_trial_order(s.size)}
+    assert enumerate_sorted_sums(s) == sorted(sums.values())
+    for n in range(1, s.size + 1):
+        assert enumerate_sorted_sums(s, n) == sorted(total for indices, total in sums.items() if len(indices) == n)
 
 
 class _LookAlike(NamedTuple):

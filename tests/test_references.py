@@ -263,9 +263,16 @@ _EXPAND5 = partial(binheap_children, s=ScaledSet((1, 2, 2, 3, 5)))
         (_ROOT5, lambda node: tuple(_EXPAND5(node)), False),
         (_ROOT5, lambda node: [(child.indices, child.cached_sum + 1) for child in _EXPAND5(node)], False),
         (_ROOT5, lambda node: [*_EXPAND5(node), None], False),
+        (IndexSubset((0,), "a"), _EXPAND5, True),
+        (IndexSubset((0,), 1.5), lambda node: [IndexSubset((1,), 2.5)], True),
+        (IndexSubset((0,), True), _EXPAND5, True),
+        (_ROOT5, lambda node: [child._replace(cached_sum="a") for child in _EXPAND5(node)], False),
+        (_ROOT5, lambda node: [child._replace(cached_sum=child.cached_sum + 0.5) for child in _EXPAND5(node)], False),
+        (_ROOT5, lambda node: [child._replace(cached_sum=True) for child in _EXPAND5(node)], False),
     ],
     ids=["none-none", "tuple-root", "none-expand", "list-expand", "returns-none", "returns-tuple",
-         "returns-bare-tuples", "returns-a-none-child"],
+         "returns-bare-tuples", "returns-a-none-child", "str-root-sum", "float-root-sum", "bool-root-sum",
+         "str-child-sum", "float-child-sum", "bool-child-sum"],
 )
 def test_malformed_frontier_is_refused_with_input_error(root, expand, at_construction):
     if at_construction:

@@ -59,8 +59,11 @@ class Mutant(NamedTuple):
 
 # Frontier(root, expand)'s last steps per node: check the children, pop the node, push the children.
 _CHECK = (
-    "                if not isinstance(child, IndexSubset) or child.cached_sum < total:\n"
-    '                    raise InputError(f"child {child!r} is not an IndexSubset or sums below its parent {node}")\n'
+    "                if not (isinstance(child, IndexSubset) and type(child.cached_sum) is int)"
+    " or child.cached_sum < total:\n"
+    "                    raise InputError(\n"
+    '                        f"child {child!r} is not an IndexSubset with an int sum or sums below its parent {node}"\n'
+    "                    )\n"
 )
 _PUSH = "                heappush(heap, (child.cached_sum, next(seq), child))\n"
 _POP = "            heappop(heap)\n            popped.append(node)\n"
@@ -191,6 +194,27 @@ MUTANTS = (
     Mutant(
         "dp-skips-input-set-guard", "dp_decision reads the values of any object", "oracle.py",
         "values = _checked_values(input_set)\n    neg_total", "values = input_set.values\n    neg_total",
+    ),
+    Mutant(
+        "no-scaled-set-guard", "the ScaledSet check passes any object", "model.py",
+        "if not isinstance(s, ScaledSet):", "if False:",
+    ),
+    Mutant(
+        "root-sum-any-type", "Frontier(root, expand) takes a root whose sum is not an int", "powerset.py",
+        "isinstance(root, IndexSubset) and type(root.cached_sum) is int", "isinstance(root, IndexSubset)",
+    ),
+    Mutant(
+        "child-sum-any-type", "Frontier(root, expand) takes a child whose sum is not an int", "powerset.py",
+        "isinstance(child, IndexSubset) and type(child.cached_sum) is int", "isinstance(child, IndexSubset)",
+    ),
+    Mutant(
+        "brute-force-last-match", "brute force returns the last hit of the smallest size, not the first",
+        "oracle.py",
+        "for combo in combinations(values, size):", "for combo in reversed(list(combinations(values, size))):",
+    ),
+    Mutant(
+        "brute-force-skips-full-set", "brute force never tries the whole set", "oracle.py",
+        "for size in range(1, len(values) + 1):", "for size in range(1, len(values)):",
     ),
     Mutant(
         "no-subset-type-guard", "the index check reads any object as an IndexSubset", "model.py",
