@@ -41,7 +41,7 @@ class InputError(ValueError):
     an int of at least 1, a rank-search target that is not an int or rank
     log that is not a list, and a rank that one of the solver's own
     rank-search frontiers has forgotten (those frontiers are never handed
-    out, see subsetsum.powerset._CodedFrontier). In
+    out, see subsetsum.powerset._RunFrontier). In
     Frontier(root, expand) it covers a root that is not an IndexSubset
     with an int sum, an expand that is not callable or that returns
     anything but a list, and a child that is not an IndexSubset with an

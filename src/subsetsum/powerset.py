@@ -12,9 +12,11 @@ This module owns the node code of both trees: the bit mask of a node's
 indices into the sorted scaled set, which _decode turns into the
 IndexSubset it stands for. Each tree contributes only its child rule over
 that code: _binheap_rule here, _subtree_rule in subsetsum.subset_tree.
-binheap_frontier runs this tree over its codes, in a _CodedFrontier, the
-bucket queue that every solve runs; binheap_root and binheap_children are
-its IndexSubset view. That view is internal, not exported by the package:
+Both rules drive the bucket queue of _BucketQueue: binheap_frontier and
+subtree_frontier run it in a _CodedFrontier, which memoizes every popped
+code, and every solve runs it in a _RunFrontier, which keeps one record
+per run of equal sums. binheap_root and binheap_children are the power-set
+tree's IndexSubset view. That view is internal, not exported by the package:
 subsetsum.checks, the tests and the benchmark's layer replica use it, and
 no solve reaches it. Frontier(root, expand) is the plain best-first heap
 over IndexSubset nodes, which only the tests and the replica build. Both
@@ -25,50 +27,68 @@ paper's subset tree is subtree_root/subtree_children.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, bisect_right
 from functools import partial
 from heapq import heappop, heappush
 from itertools import count
-from typing import Callable, Sequence
+from typing import Callable, MutableSequence, Sequence
 
 from .model import IndexSubset, InputError, ScaledSet, _checked_indices, _checked_scaled
 
 # A rule drains a frontier's pending nodes in pop order. Called as
-# rule(cursor, count, buckets, sums, popped), it expands the next count
-# pending nodes and writes the cursor back when done. The cursor [bucket,
-# head, sum] is the bucket being drained, which has left buckets, the map
-# of each distinct pending sum to its list of codes in insertion order;
-# sums is the heap of those sums. Once the cursor's bucket is drained, the
-# rule heappops the next sum and takes its bucket with buckets.pop, so no
-# child joins a bucket while it drains: a child with its parent's sum opens
-# a new bucket at that sum, which the heap hands out next, and ties still
-# pop first in, first out. Each bucket is one run of nodes sharing a sum:
-# a bucket that fits in what is left of count is expanded in place; one
-# that does not, or the rest of a bucket an earlier call left unfinished,
-# is sliced, so exactly count nodes are expanded. Each run joins popped
-# whole (popped += run). Each child's code is appended to
+# rule(cursor, stop, buckets, sums, codes, ends, totals), it expands
+# pending nodes until stop nodes have been popped in all, and writes the
+# cursor back when done. The cursor [bucket, head, sum, popped] is the
+# bucket being drained, which has left buckets, the map of each distinct
+# pending sum to its list of codes in insertion order, and the count of
+# nodes popped so far; sums is the heap of the map's keys. Once the
+# cursor's bucket is drained, the rule heappops the next sum and takes its
+# bucket with buckets.pop, so no child joins a bucket while it drains: a
+# child with its parent's sum opens a new bucket at that sum, which the
+# heap hands out next, and ties still pop first in, first out. Each bucket
+# is one run of nodes sharing a sum: a bucket that fits in what is left
+# before stop is expanded in place; one that does not, or the rest of a
+# bucket an earlier call left unfinished, is sliced, so exactly the nodes
+# up to stop are expanded. Each child's code is appended to
 # buckets[child_sum]; a child whose sum has no bucket opens one and
 # heappushes the sum. No child_sum is below sum: the tree is heap-ordered.
-# A rule trusts count not to pass the last node, since select checks the
-# rank against the tree's size first. Each rule holds its own copy of
-# this loop: a shared loop that called the rule once per run made the
-# planted benchmark's median solve 5-16% slower, since its buckets are
-# mostly single nodes. popped is not the memo but a list in which select
-# stages at most _CHUNK codes, and then packs them into the memo (see
-# _CodedFrontier) with one call: a pack into an array costs about 40 ns a
-# call, and packing each run as it is expanded would pay that for most
-# nodes, since most runs hold one node. A code is a node's bit mask, for
-# either tree; _decode maps it to the IndexSubset it stands for. A rule's
-# factory builds, once, tables of every mask and gain that depends only on
-# a position, and the rule indexes them by the node's bit_length: a shift
-# whose result passes 256 makes a new int object, so a shift per node or
-# per child would allocate one for most nodes of a tree past 8 values.
-_Rule = Callable[[list, int, dict[int, list], list[int], list], None]
+# A rule trusts stop not to pass the last node, since select checks the
+# rank against the tree's size first.
+#
+# Per run, the rule writes what its frontier memoizes. Given ends=None, as
+# the public frontiers' select does, it adds the run's codes to the codes
+# list, whole (codes += run). Given ends and totals, as the solver's
+# _RunFrontier does, it writes the run's record instead, its last rank to
+# ends and its sum to totals, and appends the run itself, one reference,
+# to codes. So that frontier pays per run, not per node: most nodes share
+# a run on the exhaustive benchmark. codes then holds the call's drained
+# runs until select clears it after the call, so their codes are freed
+# together, not one run at a time between the allocations of the next
+# run's children: that interleaving made the positive benchmark's solves
+# about 4% slower (CPython 3.11.7). An empty run, which only
+# _RunFrontier's match bucket can be, writes a record of no nodes. Each
+# rule holds its own copy of this loop: a shared loop that called the rule
+# once per run made the planted benchmark's median solve 5-16% slower,
+# since its buckets are mostly single nodes. A code is a node's bit mask,
+# for either tree; _decode maps it to the IndexSubset it stands for. A
+# rule's factory builds, once, tables of every mask and gain that depends
+# only on a position, and the rule indexes them by the node's bit_length:
+# a shift whose result passes 256 makes a new int object, so a shift per
+# node or per child would allocate one for most nodes of a tree past 8
+# values.
+_Rule = Callable[
+    [list, int, dict[int, list], list[int], list, MutableSequence[int] | None, MutableSequence[int] | None], None
+]
 
-# The most nodes one call to the rule expands. select stages them in a list
-# of at most this many codes, about 40 bytes each, before packing them into
-# the memo at 8 bytes each: a staging list of some 40 KiB, while the rule's
-# call and the pack are paid once per thousand nodes.
-_CHUNK = 1024
+# The most nodes one call to the rule expands. A public frontier's select
+# stages each call's codes in a list, about 40 bytes a code, and then packs
+# them into its memo at 8 bytes each. The solver's _RunFrontier holds each
+# call's drained runs, so their codes are freed once per call. Either
+# holds up to this many codes, some 10 KiB, while the rule's call, the
+# pack and the batch of frees are paid once per few hundred nodes. At
+# 1,024 the runs held raised the exhaustive benchmark's peak from 73 to
+# 112 KiB; at 128 the batched frees no longer saved time.
+_CHUNK = 256
 
 
 class _ListMemo(list):
@@ -120,9 +140,11 @@ def _binheap_rule(scaled: Sequence[int]) -> _Rule:
     move = [0] + [3 << b - 1 for b in range(1, size)]
     gap = [0] + [scaled[b] - scaled[b - 1] for b in range(1, size)]
 
-    def children(cursor: list, count: int, buckets: dict[int, list], sums: list[int], popped: list) -> None:
-        bucket, head, total = cursor
+    def children(cursor: list, stop: int, buckets: dict[int, list], sums: list[int], codes: list,
+                 ends: MutableSequence[int] | None, totals: MutableSequence[int] | None) -> None:
+        bucket, head, total, done = cursor
         while True:
+            count = stop - done
             run = bucket[head : head + count] if head or len(bucket) > count else bucket
             for mask in run:
                 nxt = mask.bit_length()
@@ -142,13 +164,18 @@ def _binheap_rule(scaled: Sequence[int]) -> _Rule:
                     heappush(sums, right)
                 else:
                     pending.append(mask | bit[nxt])
-            popped += run
-            count -= len(run)
-            if count <= 0:
+            done += len(run)
+            if ends is None:
+                codes += run
+            else:
+                codes.append(run)
+                ends.append(done)
+                totals.append(total)
+            if done >= stop:
                 break
             total = heappop(sums)
             bucket, head = buckets.pop(total), 0
-        cursor[:] = bucket, head + len(run), total
+        cursor[:] = bucket, head + len(run), total, done
 
     return children
 
@@ -162,7 +189,7 @@ def _decoded_children(rule: _Rule, scaled: Sequence[int], code: int) -> list[Ind
     each child's sum is the one _decode derives from its indices.
     """
     buckets: dict[int, list] = {}
-    rule([[code], 0, 0], 1, buckets, [], [])
+    rule([[code], 0, 0, 0], 1, buckets, [], [], None, None)
     return [_decode(scaled, child) for bucket in buckets.values() for child in bucket]
 
 
@@ -221,12 +248,16 @@ class Frontier:
     way. A root that is not an IndexSubset with an int sum, or an expand
     that is not callable, raises InputError at construction.
 
-    The solver does not use this class: the frontiers of subtree_frontier,
-    binheap_frontier and solve are _CodedFrontier, a bucket queue over
-    integer node codes. Only the tests and the benchmark's layer replica
-    build a Frontier(root, expand), over subtree_children or
-    binheap_children. It retires, with the power-set view, once the replica
-    runs on the coded rules.
+    Which frontier keeps which memo: this one keeps every popped
+    IndexSubset in a list; _CodedFrontier, the frontier of subtree_frontier
+    and binheap_frontier, keeps every popped node's code; _RunFrontier, the
+    one solve and solve_positive build for their own rank search, keeps one
+    record per run of equal sums and the codes of the target's sum. The
+    last two are bucket queues over integer node codes. The solver does not
+    use this class: only the tests and the benchmark's layer replica build
+    a Frontier(root, expand), over subtree_children or binheap_children. It
+    retires, with the power-set view, once the replica runs on the coded
+    rules.
 
     A Frontier is single-owner mutable state: concurrent searches over the
     same scaled set must each build their own.
@@ -275,32 +306,72 @@ class Frontier:
         return popped[k - 1]
 
 
-class _CodedFrontier(Frontier):
-    """Best-first expansion state over a tree's node codes, in a bucket queue; _decode gives each subset.
+class _BucketQueue:
+    """Best-first expansion of a tree's node codes in a bucket queue, driven a chunk at a time by the tree's rule.
 
     Pending nodes are popped in nondecreasing subset-sum order; equal sums
-    pop in insertion order, so every rank is deterministic. Popped nodes are memoized. The tree is
+    pop in insertion order, so every rank is deterministic. The tree is
     heap-ordered by construction, because scaled values are sorted, so the
-    frontier is a monotone priority queue whose smallest pending sum never
-    falls.
+    queue is monotone: its smallest pending sum never falls.
 
-    A node is held as a code, the bit mask of its indices, in either tree
-    (see subtree_frontier and binheap_frontier). Pending codes wait in
-    buckets, one list per distinct pending sum, in insertion order, and the
-    heap sums orders only the distinct sums, as in Dial's bucket queue. A
-    child whose sum is already pending costs one append and no heap sift,
-    and the only objects the garbage collector tracks are the bucket lists,
-    not the nodes. select calls the rule (see _Rule) once per chunk of at
-    most _CHUNK nodes, and the rule drains buckets in pop order from a
-    cursor [bucket, head, sum]. A drained bucket leaves the map when the
-    heap hands out its sum, so a child with its parent's sum opens a new
-    bucket at that sum, and a run of nodes sharing a sum is expanded and
-    staged without any per-node bookkeeping. The pending count is the
-    cursor's bucket past head plus every bucket in sums; a registered
-    bucket may sit at the cursor's own sum. The memo holds each popped
-    code, and only the code: a code becomes an IndexSubset, through
-    _decode, which derives the sum from the indices, only when select
-    returns its rank.
+    A node is held as a code, the bit mask of its indices, in either tree.
+    Pending codes wait in buckets, one list per distinct pending sum, in
+    insertion order, and the heap sums orders only the distinct sums, as in
+    Dial's bucket queue. A child whose sum is already pending costs one
+    append and no heap sift, and the only objects the garbage collector
+    tracks are the bucket lists, not the nodes. Each select calls the rule
+    (see _Rule) once per chunk of at most _CHUNK nodes, and the rule drains
+    buckets in pop order from a cursor [bucket, head, sum, popped]. A
+    drained bucket leaves the map when the heap hands out its sum, so a
+    child with its parent's sum opens a new bucket at that sum, and a run
+    of nodes sharing a sum is expanded without any per-node bookkeeping.
+    The pending count is the cursor's bucket past head plus every bucket in
+    sums; a registered bucket may sit at the cursor's own sum. What each
+    subclass keeps of the popped nodes is its memo.
+    """
+
+    def __init__(self, code: int, total: int, rule: _Rule, size: int) -> None:
+        self._rule, self._size = rule, size
+        self._cursor = [[code], 0, total, 0]  # [bucket, head, sum, popped]: the bucket being drained, not in _buckets
+        self._buckets: dict[int, list] = {}  # each distinct pending sum's codes, in insertion order
+        self._sums: list[int] = []  # the heap of the keys of _buckets
+
+    @property
+    def nodes_expanded(self) -> int:
+        """Number of nodes popped and expanded so far."""
+        return self._cursor[3]
+
+    def _pop_chunk(
+        self, k: int, codes: list, ends: MutableSequence[int] | None, totals: MutableSequence[int] | None
+    ) -> None:
+        """Expand the next chunk of at most _CHUNK nodes toward rank k, through the rule.
+
+        A cursor whose bucket an earlier call drained first takes the next
+        one, as the rule does between runs, and passes over an empty one,
+        which only _RunFrontier's match bucket can be: so a call's first
+        run, and its record, holds at least one node.
+        """
+        cursor = self._cursor
+        while cursor[1] == len(cursor[0]):
+            cursor[2] = total = heappop(self._sums)
+            cursor[0], cursor[1] = self._buckets.pop(total), 0
+        self._rule(cursor, min(k, cursor[3] + _CHUNK), self._buckets, self._sums, codes, ends, totals)
+
+    def _check(self, k: int) -> None:
+        """Refuse a rank that is not an int of at least 1, or is past the end of the tree, before any expansion."""
+        _check_rank(k)
+        if k > self._size:
+            raise InputError(f"rank {k} exceeds the {self._size} subsets in this tree")
+
+
+class _CodedFrontier(_BucketQueue, Frontier):
+    """The frontier of subtree_frontier and binheap_frontier: every popped node's code, in pop order.
+
+    The memo holds each popped code, and only the code: a code becomes an
+    IndexSubset, through _decode, which derives the sum from the indices,
+    only when select returns its rank. It forgets nothing, so it serves
+    every rank in any order. select hands the rule a staging list and no
+    record arrays, so the rule writes each run's codes and no run record.
 
     A mask has one bit per value, so where the tree has up to 64 values the
     memo is an array of 8-byte unsigned ints, where a list pays an 8-byte
@@ -308,72 +379,112 @@ class _CodedFrontier(Frontier):
     list. The rule stages each chunk's codes in a short list, and select
     packs the chunk into the memo: array.fromlist packs a chunk about three
     times as fast as array.extend, which converts one item at a time as it
-    grows the array. Expansion never reads the memo, so it can drop a
-    prefix: ranks up to base are forgotten, and nodes_expanded is base plus
-    the memo's length.
-
-    A frontier that solve or solve_positive builds for its own rank search
-    (forgets=True), and never hands out, forgets: whenever a probe rises
-    above the previous one, select drops every rank up to that previous
-    probe. In a lower-bound binary search, a rising probe proves the
-    previous one read a sum below the target, so no later probe asks for
-    it, and the memo holds only the current leg of the search: at most
-    about half the tree, where a frontier that keeps every rank grows to
-    every node it expands. Asking for a forgotten rank raises InputError.
-    The frontiers of subtree_frontier and binheap_frontier forget nothing
-    and serve every rank in any order.
+    grows the array.
     """
 
-    def __init__(self, code: int, total: int, rule: _Rule, scaled: Sequence[int], size: int, forgets: bool) -> None:
-        self._rule, self._decode, self._size = rule, partial(_decode, scaled), size
-        self._cursor = [[code], 0, total]  # [bucket, head, sum]: the bucket being drained, not in _buckets
-        self._buckets: dict[int, list] = {}  # each distinct pending sum's codes, in insertion order
-        self._sums: list[int] = []  # the heap of the keys of _buckets
-        self._base = 0  # ranks 1..base are forgotten; the memo holds ranks base+1 onward
-        self._probe = 0 if forgets else None  # the previous rank selected, on a frontier that forgets
+    def __init__(self, code: int, total: int, rule: _Rule, scaled: Sequence[int], size: int) -> None:
+        super().__init__(code, total, rule, size)
+        self._decode = partial(_decode, scaled)
         self._popped = array("Q") if len(scaled) <= 64 else _ListMemo()
-
-    @property
-    def nodes_expanded(self) -> int:
-        """Number of nodes popped and expanded so far, forgotten ones included."""
-        return self._base + len(self._popped)
 
     def select(self, k: int) -> IndexSubset:
         """Return the rank-k subset (1-based) in nondecreasing-sum order.
 
         The rule expands the nodes from the cursor up to rank k, a run of
         equal sums at a time, filing their children into buckets and
-        staging each run in a list, at most _CHUNK nodes per call; select
-        packs each call's nodes into the memo. When the cursor's bucket is
-        drained, the rule pops the next smallest sum and takes its bucket;
-        heap order means no pending sum is ever below the cursor's. Only
-        the returned rank is decoded.
+        staging each run's codes in a list, at most _CHUNK nodes per call;
+        select packs each call's codes into the memo. When the cursor's
+        bucket is drained, the rule pops the next smallest sum and takes
+        its bucket; heap order means no pending sum is ever below the
+        cursor's. Only the returned rank is decoded.
 
         A rank that is not an int of at least 1, or past the end of the
-        tree, raises InputError before any node is expanded. On a frontier
-        that forgets, a rank it has forgotten raises InputError and changes
-        nothing; a rank above the previous probe first forgets every rank
-        up to that probe.
+        tree, raises InputError before any node is expanded.
         """
-        _check_rank(k)
-        if k > self._size:
-            raise InputError(f"rank {k} exceeds the {self._size} subsets in this tree")
-        popped, base, probe = self._popped, self._base, self._probe
-        if k <= base:
-            raise InputError(f"rank {k} was forgotten: this rank search's frontier keeps only ranks above {base}")
-        if probe is not None:
-            if k > probe:
-                del popped[: probe - base]
-                self._base = base = probe
-            self._probe = k
-        missing = k - base - len(popped)
+        self._check(k)
+        popped, cursor = self._popped, self._cursor
         staged: list = []
-        while missing > 0:
-            self._rule(self._cursor, min(missing, _CHUNK), self._buckets, self._sums, staged)
-            missing -= len(staged)
+        while cursor[3] < k:
+            self._pop_chunk(k, staged, None, None)
             popped.fromlist(staged)
             staged.clear()
-        return self._decode(popped[k - 1 - base])
+        return self._decode(popped[k - 1])
+
+
+class _RunFrontier(_BucketQueue):
+    """The frontier solve and solve_positive build for their own rank search, and never hand out.
+
+    Its memo is one record per run of equal sums that it has popped: the
+    run's last rank in ends and its sum in totals. The rank search reads
+    only sums, and the one subset it can return is at the leftmost rank
+    whose sum is at least the target, when that sum equals the target. That
+    rank opens a run: it is the first node popped with the target's sum.
+    So the frontier is built with the scaled target and registers an empty
+    bucket at that sum, unless the root already reaches it. Every node with
+    the target's sum is filed before that bucket is popped, so its first
+    code, matched[0], is the answer, and the bucket's list is kept after
+    the rule drains it. No other code is kept past the rule call that
+    drained it (see _Rule), and no probe decodes. Drained empty, the
+    bucket leaves a record of no nodes, which ends the same rank as the
+    run before it.
+
+    select returns the frontier itself, a light record whose cached_sum is
+    the sum at the rank just selected: lower_bound_rank_search reads
+    cached_sum, and returns the record at a match, after which the solver
+    decodes matched[0]. Ranks and scaled sums are at least 1, so both
+    arrays hold 8-byte unsigned ints, whose append is about twice as fast
+    as a signed array's in CPython 3.11; sums of 64 bits or more, which
+    only a tree whose largest sum top reaches 2^64 can pop, keep a list.
+
+    The frontier forgets: whenever a probe rises above the previous one,
+    select drops every run that ends at or before that previous probe. In a
+    lower-bound binary search, a rising probe proves the previous one read
+    a sum below the target, so no later probe asks for it or any rank
+    below it; the run holding it stays if it reaches past it. Ranks up to
+    base, the last dropped run's end, are forgotten, and asking for one
+    raises InputError.
+    """
+
+    def __init__(self, code: int, total: int, rule: _Rule, size: int, top: int, target: int) -> None:
+        super().__init__(code, total, rule, size)
+        self._ends = array("Q")  # each kept run's last rank
+        self._totals = array("Q") if top < 1 << 64 else []  # each kept run's sum
+        self._base = 0  # ranks 1..base are forgotten
+        self._probe = 0  # the previous rank selected
+        self.matched = [code] if target == total else []  # the codes filed at the target's sum, in pop order
+        if target > total:
+            self._buckets[target] = self.matched
+            self._sums.append(target)
+        self.cached_sum = total  # the sum at the rank last selected; the root's before any
+
+    def select(self, k: int) -> _RunFrontier:
+        """Return this frontier with cached_sum set to the rank-k sum (1-based) in nondecreasing-sum order.
+
+        The rule expands the nodes from the cursor up to rank k, a run at a
+        time, at most _CHUNK nodes per call, and appends each run's record.
+        A rank that is not an int of at least 1, past the end of the tree
+        or forgotten raises InputError and changes nothing; a rank above
+        the previous probe first forgets every run that ends at or before
+        that probe.
+        """
+        self._check(k)
+        if k <= self._base:
+            raise InputError(f"rank {k} was forgotten: this rank search's frontier keeps only ranks above {self._base}")
+        ends, totals = self._ends, self._totals
+        if k > self._probe:
+            drop = bisect_right(ends, self._probe)
+            if drop:
+                self._base = ends[drop - 1]
+                del ends[:drop], totals[:drop]
+        self._probe = k
+        cursor, drained = self._cursor, []
+        while cursor[3] < k:
+            if ends and cursor[1] < len(cursor[0]):  # the last run goes on: the rule writes its record anew
+                del ends[-1], totals[-1]
+            self._pop_chunk(k, drained, ends, totals)
+            drained.clear()
+        self.cached_sum = totals[bisect_left(ends, k)]
+        return self
 
 
 def binheap_frontier(s: ScaledSet) -> Frontier:
@@ -381,14 +492,9 @@ def binheap_frontier(s: ScaledSet) -> Frontier:
 
     An s that is not a ScaledSet raises InputError.
     """
-    return _binheap_frontier(_checked_scaled(s), False)
-
-
-def _binheap_frontier(s: ScaledSet, forgets: bool) -> _CodedFrontier:
-    """binheap_frontier, or with forgets=True the solver's rank-search frontier that forgets (see _CodedFrontier)."""
+    scaled = _checked_scaled(s).scaled_values
     root = 1  # the mask of {0}
-    scaled = s.scaled_values
-    return _CodedFrontier(root, scaled[0], _binheap_rule(scaled), scaled, (1 << s.size) - 1, forgets)
+    return _CodedFrontier(root, scaled[0], _binheap_rule(scaled), scaled, (1 << s.size) - 1)
 
 
 def lower_bound_rank_search(
@@ -396,16 +502,19 @@ def lower_bound_rank_search(
     total: int,
     target: int,
     rank_log: list[int],
-) -> tuple[IndexSubset | None, int]:
+) -> tuple[IndexSubset | _RunFrontier | None, int]:
     """Binary-search ranks [1, total] for a subset whose sum equals target.
 
     Converges on the leftmost rank whose sum is >= target and checks it for
     equality, which stays correct when several subsets share a sum. Each
     probed rank is appended to rank_log, after whatever it already holds.
     Returns the match (or None) and this call's number of rank probes,
-    which is at most ceil(log2(total)) + 1. The frontier is read only
-    through select, so anything with a callable select may stand in for a
-    Frontier, as a timing or checking wrapper does. A frontier without one,
+    which is at most ceil(log2(total)) + 1. The match is the object the
+    frontier's select gave for the final rank: an IndexSubset from a
+    Frontier, the frontier itself from the solver's _RunFrontier. The
+    frontier is read only through select and its result's cached_sum, so
+    anything with a callable select may stand in for a Frontier, as a
+    timing or checking wrapper does. A frontier without one,
     a total that is not an int of at least 1, a target that is not an int
     (a bool is not one) and a rank_log that is not a list raise InputError
     before any probe.

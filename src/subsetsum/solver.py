@@ -24,7 +24,7 @@ from .model import (
     normalize,
     unscale,
 )
-from .powerset import _binheap_frontier, _CodedFrontier, lower_bound_rank_search
+from .powerset import _binheap_rule, _decode, _RunFrontier, lower_bound_rank_search
 from .subset_tree import _subtree_rule
 
 
@@ -77,14 +77,18 @@ class SolveOutcome:
         return self.subset is not None
 
 
-def _rank_search(frontier: _CodedFrontier, order: int, scaled_target: int) -> tuple[IndexSubset | None, OrderTrace]:
-    """Binary-search every rank of a coded frontier for scaled_target; returns the match and the record.
+def _rank_search(
+    frontier: _RunFrontier, size: int, scaled: tuple[int, ...], order: int, scaled_target: int
+) -> tuple[IndexSubset | None, OrderTrace]:
+    """Binary-search ranks 1..size of the solver's own frontier for scaled_target; returns the match and the record.
 
-    The frontier is the solver's own and forgets the ranks the search has
-    passed, so the memo holds only the current leg of the search.
+    The frontier keeps one record per run and forgets the runs the search
+    has passed. At a match it holds the code of the matching rank, the
+    first node popped with the target's sum, which alone is decoded.
     """
     ranks: list[int] = []
-    found, _ = lower_bound_rank_search(frontier, frontier._size, scaled_target, ranks)
+    matched, _ = lower_bound_rank_search(frontier, size, scaled_target, ranks)
+    found = None if matched is None else _decode(scaled, frontier.matched[0])
     return found, OrderTrace(order, scaled_target, tuple(ranks), found is not None, frontier.nodes_expanded)
 
 
@@ -138,8 +142,9 @@ def solve(input_set: InputSet, *, range_check: bool = True) -> SolveOutcome:
             orders.append(OrderTrace(order, scaled_target, (), False, 0))
             continue
         root = (1 << order) - 1  # the mask of the order smallest values
-        frontier = _CodedFrontier(root, low, children, scaled, math.comb(size, order), True)
-        found, record = _rank_search(frontier, order, scaled_target)
+        total = math.comb(size, order)
+        frontier = _RunFrontier(root, low, children, total, high, scaled_target)
+        found, record = _rank_search(frontier, total, scaled, order, scaled_target)
         orders.append(record)
         if found is not None:
             break
@@ -163,5 +168,7 @@ def solve_positive(input_set: InputSet) -> SolveOutcome:
     s = normalize(input_set)
     if s.sorted_values[0] <= 0:
         raise InputError("solve_positive needs strictly positive values; use solve instead")
-    found, record = _rank_search(_binheap_frontier(s, True), 0, input_set.target)
+    scaled, total = s.scaled_values, (1 << s.size) - 1
+    frontier = _RunFrontier(1, scaled[0], _binheap_rule(scaled), total, sum(scaled), input_set.target)
+    found, record = _rank_search(frontier, total, scaled, 0, input_set.target)
     return _outcome(input_set, s, found, [record], started)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Sequence
+from typing import MutableSequence, Sequence
 
 from .model import IndexSubset, InputError, ScaledSet, _check_length, _checked_indices, _checked_scaled
 from .powerset import Frontier, _CodedFrontier, _decoded_children, _mask_of, _Rule
@@ -80,9 +80,11 @@ def _subtree_rule(scaled: Sequence[int]) -> _Rule:
     bit = [1 << i for i in range(size)]
     below = [(1 << p) - 1 for p in range(size)]
 
-    def children(cursor: list, count: int, buckets: dict[int, list], sums: list[int], popped: list) -> None:
-        bucket, head, total = cursor
+    def children(cursor: list, stop: int, buckets: dict[int, list], sums: list[int], codes: list,
+                 ends: MutableSequence[int] | None, totals: MutableSequence[int] | None) -> None:
+        bucket, head, total, done = cursor
         while True:
+            count = stop - done
             run = bucket[head : head + count] if head or len(bucket) > count else bucket
             for mask in run:
                 past = mask.bit_length()
@@ -100,13 +102,18 @@ def _subtree_rule(scaled: Sequence[int]) -> _Rule:
                         else:
                             pending.append(mask ^ bit[i])
                         i -= 1
-            popped += run
-            count -= len(run)
-            if count <= 0:
+            done += len(run)
+            if ends is None:
+                codes += run
+            else:
+                codes.append(run)
+                ends.append(done)
+                totals.append(total)
+            if done >= stop:
                 break
             total = heappop(sums)
             bucket, head = buckets.pop(total), 0
-        cursor[:] = bucket, head + len(run), total
+        cursor[:] = bucket, head + len(run), total, done
 
     return children
 
@@ -152,4 +159,4 @@ def subtree_frontier(tree: SubsetTree) -> Frontier:
     """Fresh expansion state over the fixed-length subset tree; a tree that is not a SubsetTree raises InputError."""
     scaled = _checked_tree(tree).scaled.scaled_values
     root = (1 << tree.n) - 1
-    return _CodedFrontier(root, sum(scaled[: tree.n]), _subtree_rule(scaled), scaled, tree.total, False)
+    return _CodedFrontier(root, sum(scaled[: tree.n]), _subtree_rule(scaled), scaled, tree.total)

@@ -10,10 +10,12 @@ expanded node. Since each rule drains the sum buckets itself, a run of
 equal sums at a time, each select must also leave every code a rule
 produced exactly once pending or in the memo, and must expand exactly the
 nodes up to its rank; the heap likewise holds every node expand produced
-once, pending or popped. The solver's own frontiers forget the ranks its
-rank search has passed; public ones must still serve every rank in any
-order. A coded frontier packs its memo into 8-byte codes while the tree's
-widest code fits in 64 bits, and keeps a list past that.
+once, pending or popped. The solver's own frontiers keep one record per
+run of equal sums, not codes, and forget the runs its rank search has
+passed; public ones must still serve every rank in any order. A coded
+frontier packs its memo into 8-byte codes while the tree's widest code fits
+in 64 bits, and keeps a list past that; the solver's frontier packs its run
+records while the tree's largest sum does.
 """
 
 import gc
@@ -43,9 +45,10 @@ from subsetsum import (
     subtree_children,
     subtree_frontier,
     subtree_root,
+    unscale,
 )
-from subsetsum import solver
-from subsetsum.powerset import _binheap_frontier, binheap_children, binheap_root
+from subsetsum import powerset, solver
+from subsetsum.powerset import _binheap_rule, _decode, _RunFrontier, binheap_children, binheap_root
 
 
 def _frontier_pairs(s):
@@ -190,7 +193,7 @@ def _produced(frontier, root):
     produced = [root]
     for code in frontier._popped:
         buckets = {}
-        frontier._rule([[code], 0, frontier._decode(code).cached_sum], 1, buckets, [], [])
+        frontier._rule([[code], 0, frontier._decode(code).cached_sum, 0], 1, buckets, [], [], None, None)
         produced += [(child, key) for key, bucket in buckets.items() for child in bucket]
     return produced
 
@@ -201,7 +204,7 @@ def _assert_bucket_layout(frontier, root, k):
     The cursor's bucket has left the map; a registered bucket may sit at the
     cursor's own sum, and no registered bucket is empty.
     """
-    buckets, sums, (bucket, head, total) = frontier._buckets, frontier._sums, frontier._cursor
+    buckets, sums, (bucket, head, total, _) = frontier._buckets, frontier._sums, frontier._cursor
     assert all(registered is not bucket for registered in buckets.values()), k
     assert len(set(sums)) == len(sums) and set(buckets) == set(sums), k
     assert all(buckets.values()) and all(key >= total for key in sums), k
@@ -226,12 +229,12 @@ def _assert_heap_layout(frontier, root, k):
 def test_every_code_is_pending_or_popped_after_each_select(values):
     s = normalize(InputSet(values, 0))
     for coded, viewed, total in _frontier_pairs(s):
-        root_bucket, _, root_sum = coded._cursor
+        root_bucket, _, root_sum, _ = coded._cursor
         root = (root_bucket[0], root_sum)
         for k in range(1, total + 1):
             coded.select(k)
             _assert_bucket_layout(coded, root, k)
-        bucket, head, _ = coded._cursor
+        bucket, head, _, _ = coded._cursor
         assert coded._sums == [] and coded._buckets == {} and head == len(bucket)
         root = viewed._heap[0][2]
         for k in range(1, total + 1):
@@ -292,23 +295,43 @@ def test_power_set_memo_packs_masks_of_up_to_64_bits(size, packed):
     assert max(frontier._popped) == 1 << size - 1
 
 
-def test_first_probe_memo_is_packed():
-    # solve_positive's first probe at N=16 memoizes 2^15 codes and forgets none of them.
-    # tracemalloc peak on CPython 3.11.7: 1,856 KiB with a list of int codes,
-    # 870 KiB with codes packed 8 bytes each; the bound lies halfway.
-    s = ScaledSet((865, 395, 777, 912, 431, 42, 266, 989, 524, 498, 415, 941, 803, 850, 311, 992))
+def _peak(run):
+    """The tracemalloc peak, in bytes, of one call to run."""
     tracemalloc.start()
     try:
-        _binheap_frontier(s, True).select(2**15)
-        peak = tracemalloc.get_traced_memory()[1]
+        run()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1363 << 10
 
 
+def test_first_probe_memo_is_packed():
+    # solve_positive's first probe at N=16 pops 2^15 nodes in 3,589 runs, each of its own sum, and forgets none.
+    # tracemalloc peak on CPython 3.11.7: 853 KiB with the run records in lists of ints,
+    # 644 KiB with them packed 8 bytes each, most of either the pending buckets; the bound lies halfway.
+    s = ScaledSet((865, 395, 777, 912, 431, 42, 266, 989, 524, 498, 415, 941, 803, 850, 311, 992))
+    scaled = s.scaled_values
+    frontier = _RunFrontier(1, scaled[0], _binheap_rule(scaled), 2**16 - 1, sum(scaled), sum(scaled) + 1)
+    assert _peak(partial(frontier.select, 2**15)) < 748 << 10
+    assert isinstance(frontier._ends, array) and isinstance(frontier._totals, array)
+    assert len(frontier._ends) == len(frontier._totals) == len(set(frontier._totals)) == 3589
 
-# The solver's own frontiers forget every rank up to the previous probe
-# whenever a probe rises above it. A public frontier forgets nothing.
+
+def test_exhaustive_solve_memo_is_runs():
+    # The benchmark's exhaustive shape: an unreachable target at N=16 with the window off, so every
+    # length is searched to its end. tracemalloc peak on CPython 3.11.7: 151 KiB when the solver's
+    # frontier memoized every popped code and staged up to 1,024 of them per call, 78 KiB with one
+    # packed record per run and up to 256 drained codes held per call; the bound lies halfway.
+    values = (-4, 11, 12, -14, 4, -21, 8, -50, 3, 35, 42, -17, -20, 32, -22, -49)
+    instance = InputSet(values, sum(v for v in values if v > 0) + 1)
+    outcomes = []
+    assert _peak(lambda: outcomes.append(solve(instance, range_check=False))) < 114 << 10
+    assert not outcomes[0].found and outcomes[0].stats.nodes_expanded == 2**16 - 1
+
+
+# The solver's own frontiers keep one record per run and forget every run
+# that ends at or before the previous probe whenever a probe rises above it.
+# A public frontier forgets nothing.
 
 
 def _public_frontier(s, order):
@@ -331,22 +354,40 @@ def _watch_searches(monkeypatch, wrap):
 
 
 class _Watched:
-    """Stands in for the solver's frontier and checks its memo after each probe against the search's lo."""
+    """Stands in for the solver's frontier and checks its run memo after each probe against the search's lo."""
 
     def __init__(self, frontier, target):
         self.frontier, self.target, self.lo = frontier, target, 1
         self.deepest = self.largest_memo = 0
+        self.sums = []  # (rank, sum) per probe
 
     def select(self, k):
-        subset = self.frontier.select(k)
+        record = self.frontier.select(k)
         frontier = self.frontier
+        assert record is frontier  # the light record select returns is the frontier itself
         self.deepest = max(self.deepest, k)
-        assert frontier._base == self.lo - 1, (k, self.lo)  # no rank below lo, and lo itself still held
+        ends, totals = frontier._ends, frontier._totals
+        # No run that ends below lo is held, and lo itself is not forgotten: the first kept run holds lo.
+        assert frontier._base < self.lo <= ends[0], (k, self.lo)
         assert frontier.nodes_expanded == self.deepest  # popped so far, forgotten ones included
-        self.largest_memo = max(self.largest_memo, len(frontier._popped))
-        if subset.cached_sum < self.target:
+        assert len(ends) == len(totals) and list(ends) == sorted(ends) and list(totals) == sorted(totals)
+        self.largest_memo = max(self.largest_memo, ends[-1] - frontier._base)  # the kept runs' nodes
+        self.sums.append((k, record.cached_sum))
+        if record.cached_sum < self.target:
             self.lo = k + 1
-        return subset
+        return record
+
+
+def _wide_searches():
+    """Solves whose scaled sums pass 2^63, and pass 2^64, and one over more than 64 values."""
+    near = [2**61 - 3, -(2**61) + 5, 2**61, -(2**61), 7, -2, 2**60 + 11]  # order-3 sums past 2^63, below 2^64
+    yield solve, InputSet(tuple(near), near[0] + near[2] + near[6])
+    yield partial(solve, range_check=False), InputSet(tuple(near), near[0] + near[2] + near[4] + 1)
+    past = [2**62 - 1, -(2**62), 2**62 - 7, 3, -(2**62) + 9]  # order-2 sums past 2^64
+    yield solve, InputSet(tuple(past), past[0] + past[2])
+    yield solve_positive, InputSet((2**63 - 1, 5, 2**63 - 2), 2**63 - 1)  # the largest sum 2^64 + 2
+    values = random.Random(29).sample(range(10**12, 10**12 + 10**6), 70)
+    yield solve, InputSet(tuple(values), values[3] + values[60])
 
 
 def _solver_searches():
@@ -357,22 +398,52 @@ def _solver_searches():
     for _ in range(10):
         values = tuple(rng.randint(1, 30) for _ in range(rng.randint(1, 9)))
         yield solve_positive, InputSet(values, rng.randint(1, sum(values) + 1))
+    yield from _wide_searches()
 
 
 @pytest.mark.parametrize("call, instance", list(_solver_searches()))
 def test_solver_frontier_forgets_below_lo_and_matches_a_public_one(monkeypatch, call, instance):
     searches = _watch_searches(monkeypatch, _Watched)
     outcome = call(instance)
-    assert len(outcome.stats.orders) == len(searches)
+    searched = [record for record in outcome.stats.orders if record.ranks_probed]  # not skipped by the window
+    assert len(searched) == len(searches)
     s = normalize(instance)
-    for record, (watched, total, target, found) in zip(outcome.stats.orders, searches):
+    for record, (watched, total, target, found) in zip(searched, searches):
         assert watched.largest_memo <= (total + 1) // 2  # the first probe's leg, never the whole tree
         public = _public_frontier(s, record.order)
         ranks = []
         public_found, _ = lower_bound_rank_search(public, total, target, ranks)
         assert tuple(ranks) == record.ranks_probed
+        assert [(k, public.select(k).cached_sum) for k, _ in watched.sums] == watched.sums
         assert public.nodes_expanded == watched.frontier.nodes_expanded == record.nodes_expanded
-        assert public_found == found
+        assert (found is None) == (public_found is None)
+        if found is not None:
+            assert _decode(s.scaled_values, watched.frontier.matched[0]) == public_found
+            assert outcome.subset == unscale(public_found, s)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_rank_search_is_the_same_in_chunks_of_any_size(monkeypatch, chunk):
+    # A run split across calls to the rule must still yield its first code, and every record.
+    def behaviour():
+        return [
+            (outcome.subset, [(r.ranks_probed, r.nodes_expanded, r.found) for r in outcome.stats.orders])
+            for outcome in (call(instance) for call, instance in _solver_searches())
+        ]
+
+    expected = behaviour()
+    monkeypatch.setattr(powerset, "_CHUNK", chunk)
+    assert behaviour() == expected
+
+
+@pytest.mark.parametrize("top, packed", [(2**64 - 1, True), (2**64, False)])
+def test_run_sums_pack_while_the_largest_sum_fits_in_64_bits(top, packed):
+    # The power-set tree of (1, top - 1): its last rank sums to top, its middle one to top - 1, past 2^63.
+    scaled = (1, top - 1)
+    frontier = _RunFrontier(1, 1, _binheap_rule(scaled), 3, top, top)
+    assert isinstance(frontier._totals, array) is packed
+    assert [frontier.select(k).cached_sum for k in (1, 2, 3)] == [1, top - 1, top]
+    assert frontier.matched == [0b11] and list(frontier._totals) == [top]
 
 
 @pytest.mark.parametrize("values", [(-7, -3, -2, 5, 8), (1, 1, 2, 2, 3, 3), (-4, 0, 0, 9, -4, 2, 7)], ids=str)
@@ -397,11 +468,16 @@ def test_forgotten_rank_raises_and_changes_nothing(monkeypatch, call):
     s = normalize(instance)
     assert len(searches) == len(outcome.stats.orders)
     for record, (frontier, total, _, _) in zip(outcome.stats.orders, searches):
-        # The last probe, rank total, rose above rank total - 1 and forgot every rank below it.
-        state = (frontier._base, frontier._probe, frontier.nodes_expanded)
-        assert state == (total - 1, total, total)
+        # The last probe, rank total, rose above rank total - 1 and forgot every run up to it.
+        def state():
+            memo = (list(frontier._ends), list(frontier._totals), list(frontier.matched))
+            return frontier._base, frontier._probe, frontier.nodes_expanded, frontier.cached_sum, memo
+
+        before = state()
+        last = _public_frontier(s, record.order).select(total).cached_sum
+        assert before == (total - 1, total, total, last, ([total], [last], []))
         for k in range(1, total):
             with pytest.raises(InputError, match=rf"^rank {k} was forgotten"):
                 frontier.select(k)
-            assert (frontier._base, frontier._probe, frontier.nodes_expanded) == state
-        assert frontier.select(total) == _public_frontier(s, record.order).select(total)
+            assert state() == before
+        assert frontier.select(total).cached_sum == last

@@ -1,5 +1,4 @@
 import math
-from itertools import combinations
 from typing import NamedTuple
 
 import pytest
@@ -110,10 +109,10 @@ def test_brute_force_result_sums_to_target(instance):
     result = brute_force_solve(instance)
     if result is not None:
         assert sum(result) == instance.target
+        values = instance.values
         smallest = min(
-            (size for size in range(1, len(instance.values) + 1)
-             for combo in combinations(instance.values, size)
-             if sum(combo) == instance.target),
+            (len(indices) for indices in _subsets_in_trial_order(len(values))
+             if sum(values[i] for i in indices) == instance.target),
             default=None,
         )
         assert len(result) == smallest

@@ -68,6 +68,16 @@ _CHECK = (
 _PUSH = "                heappush(heap, (child.cached_sum, next(seq), child))\n"
 _POP = "            heappop(heap)\n            popped.append(node)\n"
 _LOOP = "            for child in children:\n"
+# A rule's per-run write: its codes to a public frontier, or its record to a _RunFrontier.
+_RECORD = (
+    "            done += len(run)\n"
+    "            if ends is None:\n"
+    "                codes += run\n"
+    "            else:\n"
+    "                codes.append(run)\n"
+    "                ends.append(done)\n"
+    "                totals.append(total)\n"
+)
 
 MUTANTS = (
     Mutant(
@@ -166,12 +176,48 @@ MUTANTS = (
         "below = [(1 << p) - 1 for p in range(size)]", "below = [(1 << p + 1) - 1 for p in range(size)]",
     ),
     Mutant(
-        "forget-one-too-many", "forgetting drops one popped code too many", "powerset.py",
-        "del popped[: probe - base]", "del popped[: probe - base + 1]",
+        "forget-one-too-many", "forgetting drops one run too many", "powerset.py",
+        "drop = bisect_right(ends, self._probe)", "drop = bisect_right(ends, self._probe) + 1",
     ),
     Mutant(
-        "select-off-by-one", "select returns popped[k - base]", "powerset.py",
-        "return self._decode(popped[k - 1 - base])", "return self._decode(popped[k - base])",
+        "forget-drops-probe-run", "forgetting also drops the run that holds the previous probe", "powerset.py",
+        "drop = bisect_right(ends, self._probe)", "drop = bisect_left(ends, self._probe) + 1",
+    ),
+    Mutant(
+        "select-off-by-one", "the public select returns popped[k], one rank late", "powerset.py",
+        "return self._decode(popped[k - 1])", "return self._decode(popped[k])",
+    ),
+    Mutant(
+        "capture-above-target", "the capture takes the first sum > target: the match bucket sits at target + 1",
+        "powerset.py",
+        "self._buckets[target] = self.matched\n            self._sums.append(target)",
+        "self._buckets[target + 1] = self.matched\n            self._sums.append(target + 1)",
+    ),
+    Mutant(
+        "capture-misses-root", "the capture misses a root that already has the target's sum", "powerset.py",
+        "self.matched = [code] if target == total else []", "self.matched = []",
+    ),
+    Mutant(
+        "run-end-off-by-one", "the fixed-length rule records each run's last rank one short", "subset_tree.py",
+        "ends.append(done)", "ends.append(done - 1)",
+    ),
+    Mutant(
+        "split-run-recorded-twice", "a run split across rule calls keeps the record of its first part",
+        "powerset.py",
+        "if ends and cursor[1] < len(cursor[0]):", "if False:",
+    ),
+    Mutant(
+        "empty-bucket-opens-chunk", "a rule call may open on the empty match bucket and record it first",
+        "powerset.py",
+        "while cursor[1] == len(cursor[0]):", "if cursor[1] == len(cursor[0]):",
+    ),
+    Mutant(
+        "run-memo-packs-2-64", "the run memo packs a largest sum of 2^64 into 8-byte slots", "powerset.py",
+        'array("Q") if top < 1 << 64 else []', 'array("Q") if top <= 1 << 64 else []',
+    ),
+    Mutant(
+        "signed-run-memo", "the run memo packs sums into signed 8-byte slots", "powerset.py",
+        'self._totals = array("Q")', 'self._totals = array("q")',
     ),
     Mutant(
         "scaled-set-offset-one-short", "ScaledSet shifts the minimum to 0, not 1", "model.py",
@@ -250,11 +296,16 @@ MUTANTS = (
     ),
     Mutant(
         "signed-packed-memo", "the packed memo holds signed 8-byte codes", "powerset.py",
-        'array("Q")', 'array("q")',
+        'self._popped = array("Q")', 'self._popped = array("q")',
     ),
     Mutant(
         "staging-never-cleared", "select never clears the staging list after packing it", "powerset.py",
         "            staged.clear()\n", "            pass\n",
+    ),
+    Mutant(
+        "drained-never-cleared", "the solver's select holds every drained run of a probe, not one call's",
+        "powerset.py",
+        "            drained.clear()\n", "            pass\n",
     ),
     Mutant(
         "equivalent-clear-low-bit", "control: clear the low bit with -= in place of ^=", "powerset.py",
@@ -262,13 +313,14 @@ MUTANTS = (
     ),
     Mutant(
         "equivalent-view-rule-from-one", "control: the views run the rule from a sum of 1", "powerset.py",
-        "rule([[code], 0, 0], 1, buckets, [], [])", "rule([[code], 0, 1], 1, buckets, [], [])", equivalent=True,
+        "rule([[code], 0, 0, 0], 1, buckets, [], [], None, None)",
+        "rule([[code], 0, 1, 0], 1, buckets, [], [], None, None)", equivalent=True,
     ),
     Mutant(
-        "equivalent-memo-before-run", "control: the fixed-length rule adds each run to the memo before expanding it",
-        "subset_tree.py",
-        ("            for mask in run:\n", "            popped += run\n            count -= len(run)"),
-        ("            popped += run\n            for mask in run:\n", "            count -= len(run)"),
+        "equivalent-memo-before-run",
+        "control: the fixed-length rule writes each run's codes or record before expanding it", "subset_tree.py",
+        (_RECORD, "            for mask in run:\n"),
+        ("", _RECORD + "            for mask in run:\n"),
         equivalent=True,
     ),
     Mutant(
@@ -277,8 +329,8 @@ MUTANTS = (
         "self._seq = expand, count(1)", "self._seq = expand, count(5)", equivalent=True,
     ),
     Mutant(
-        "equivalent-chunk-size", "control: select stages at most 3 codes per rule call, not 1,024", "powerset.py",
-        "_CHUNK = 1024", "_CHUNK = 3", equivalent=True,
+        "equivalent-chunk-size", "control: a rule call expands at most 3 nodes, not 256", "powerset.py",
+        "_CHUNK = 256", "_CHUNK = 3", equivalent=True,
     ),
 )
 
