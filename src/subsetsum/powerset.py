@@ -10,8 +10,10 @@ then locates a target sum without materializing the power set.
 
 This module owns the node code of both trees: the bit mask of a node's
 indices into the sorted scaled set, which _decode turns into the
-IndexSubset it stands for. Each tree contributes only its child rule over
-that code: _binheap_rule here, _subtree_rule in subsetsum.subset_tree.
+IndexSubset it stands for, and the masks both trees' rules read by bit
+position, in one shared _PositionTable per kind. Each tree contributes
+only its child rule over that code: _binheap_rule here, _subtree_rule in
+subsetsum.subset_tree.
 Both rules drive the bucket queue of _BucketQueue: binheap_frontier and
 subtree_frontier run it in a _CodedFrontier, which memoizes every popped
 code, and every solve runs it in a _RunFrontier, which keeps one record
@@ -62,20 +64,21 @@ from .model import IndexSubset, InputError, ScaledSet, _checked_indices, _checke
 # ends and its sum to totals, and appends the run itself, one reference,
 # to codes. So that frontier pays per run, not per node: most nodes share
 # a run on the exhaustive benchmark. codes then holds the call's drained
-# runs until select clears it after the call, so their codes are freed
-# together, not one run at a time between the allocations of the next
-# run's children: that interleaving made the positive benchmark's solves
-# about 4% slower (CPython 3.11.7). An empty run, which only
+# runs until the call returns, so their codes are freed together, not one
+# run at a time between the allocations of the next run's children: that
+# interleaving made the positive benchmark's solves about 4% slower
+# (CPython 3.11.7). An empty run, which only
 # _RunFrontier's match bucket can be, writes a record of no nodes. Each
 # rule holds its own copy of this loop: a shared loop that called the rule
 # once per run made the planted benchmark's median solve 5-16% slower,
 # since its buckets are mostly single nodes. A code is a node's bit mask,
 # for either tree; _decode maps it to the IndexSubset it stands for. A
-# rule's factory builds, once, tables of every mask and gain that depends
-# only on a position, and the rule indexes them by the node's bit_length:
-# a shift whose result passes 256 makes a new int object, so a shift per
-# node or per child would allocate one for most nodes of a tree past 8
-# values.
+# rule indexes tables of every mask and gain that depends only on a
+# position by the node's bit_length: a shift whose result passes 256 makes
+# a new int object, so a shift per node or per child would allocate one
+# for most nodes of a tree past 8 values. The masks depend on the position
+# alone, so every rule shares them (see _PositionTable); a gain depends
+# on the values too, so a rule's factory builds its own.
 _Rule = Callable[
     [list, int, dict[int, list], list[int], list, MutableSequence[int] | None, MutableSequence[int] | None], None
 ]
@@ -121,6 +124,39 @@ def _decode(scaled: Sequence[int], mask: int) -> IndexSubset:
     return IndexSubset(tuple(indices), total)
 
 
+class _PositionTable:
+    """One mask per bit position, from 0 up, built once per process and shared by every rule.
+
+    at_least(size) returns a list that covers at least positions 0..size-1,
+    built only when a rule needs more positions than any rule before it. It
+    never changes a list it has handed out: to grow, it builds a longer
+    list, which reuses the old int objects, and swaps it in with one
+    assignment. So a rule keeps the list it took, which covers every
+    position of its tree, and two threads that grow a table at once each
+    keep the list they built, whichever is swapped in last.
+    """
+
+    def __init__(self, first: list[int], masks: Callable[[range], list[int]]) -> None:
+        self._masks, self._table = masks, first
+
+    def at_least(self, size: int) -> list[int]:
+        table = self._table
+        if len(table) < size:
+            table = table + self._masks(range(len(table), size))
+            self._table = table
+        return table
+
+
+# The masks the rules read by position: bit[i] = 1 << i for both trees,
+# below[p] = (1 << p) - 1 for the fixed-length tree and move[b] = 3 << b - 1
+# for the power-set tree (move[0], which no rule reads, is 0). A table of N
+# positions keeps about N^2/15 bytes of ints: bit and below keep 3.5 MiB
+# after a solve over 5,000 values, 1 KiB after one over 20 (CPython 3.11).
+_BIT = _PositionTable([1], lambda new: [1 << i for i in new])
+_BELOW = _PositionTable([0], lambda new: [(1 << p) - 1 for p in new])
+_MOVE = _PositionTable([0], lambda new: [3 << b - 1 for b in new])
+
+
 def _binheap_rule(scaled: Sequence[int]) -> _Rule:
     """The child rule of the power-set tree over scaled (see _Rule).
 
@@ -128,16 +164,16 @@ def _binheap_rule(scaled: Sequence[int]) -> _Rule:
     bit_length, the index just above the top bit, the left child moves the
     top bit up to nxt and the right child adds bit nxt. A node whose top bit
     is the last index has no children. Every constant the two children need
-    depends only on nxt, so the rule builds them once, in tables indexed by
-    nxt: bit[nxt] = 1 << nxt, move[nxt] = 3 << nxt - 1, which clears the top
-    bit and sets bit nxt in one xor, and gap[nxt] = scaled[nxt] -
-    scaled[nxt - 1], the left child's gain. A shift whose result passes 256
-    makes a new int object, so computing these per node paid an allocation
-    for each of them past bit 8.
+    depends only on nxt, so the rule reads them from tables indexed by nxt:
+    the shared bit[nxt] = 1 << nxt and move[nxt] = 3 << nxt - 1, which
+    clears the top bit and sets bit nxt in one xor (see _PositionTable),
+    and its own gap[nxt] = scaled[nxt] - scaled[nxt - 1], the left child's
+    gain, built once per rule. A shift whose result passes 256 makes a new
+    int object, so computing these per node paid an allocation for each of
+    them past bit 8.
     """
     size = len(scaled)
-    bit = [1 << b for b in range(size)]
-    move = [0] + [3 << b - 1 for b in range(1, size)]
+    bit, move = _BIT.at_least(size), _MOVE.at_least(size)
     gap = [0] + [scaled[b] - scaled[b - 1] for b in range(1, size)]
 
     def children(cursor: list, stop: int, buckets: dict[int, list], sums: list[int], codes: list,
@@ -465,10 +501,13 @@ class _RunFrontier(_BucketQueue):
         A rank that is not an int of at least 1, past the end of the tree
         or forgotten raises InputError and changes nothing; a rank above
         the previous probe first forgets every run that ends at or before
-        that probe.
+        that probe. A served rank passes one test; the refusals, in that
+        order, are tried only when it fails. Each rule call gets a fresh
+        list for its drained runs, freed as the call returns, and a rank
+        already expanded makes none.
         """
-        self._check(k)
-        if k <= self._base:
+        if not (type(k) is int and self._base < k <= self._size):
+            self._check(k)
             raise InputError(f"rank {k} was forgotten: this rank search's frontier keeps only ranks above {self._base}")
         ends, totals = self._ends, self._totals
         if k > self._probe:
@@ -477,12 +516,11 @@ class _RunFrontier(_BucketQueue):
                 self._base = ends[drop - 1]
                 del ends[:drop], totals[:drop]
         self._probe = k
-        cursor, drained = self._cursor, []
+        cursor = self._cursor
         while cursor[3] < k:
             if ends and cursor[1] < len(cursor[0]):  # the last run goes on: the rule writes its record anew
                 del ends[-1], totals[-1]
-            self._pop_chunk(k, drained, ends, totals)
-            drained.clear()
+            self._pop_chunk(k, [], ends, totals)
         self.cached_sum = totals[bisect_left(ends, k)]
         return self
 

@@ -6,7 +6,10 @@ its own rescaled target and its own binary search over the length-n tree's
 rank space. Lengths are searched in ascending order, so the first hit is a
 minimum-cardinality solution; an explicit not-found outcome is returned
 when every length misses. Each call builds fresh internal state, so solves
-may run concurrently without coordination.
+may run concurrently without coordination. The one state they share is
+the masks every rule reads by position (subsetsum.powerset._PositionTable):
+built once per process and never changed in place, only replaced by a
+longer list, so each solve's rule keeps a list that covers its own tree.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from heapq import heappop, heappush
 from typing import MutableSequence, Sequence
 
 from .model import IndexSubset, InputError, ScaledSet, _check_length, _checked_indices, _checked_scaled
-from .powerset import Frontier, _CodedFrontier, _decoded_children, _mask_of, _Rule
+from .powerset import _BELOW, _BIT, Frontier, _CodedFrontier, _decoded_children, _mask_of, _Rule
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,16 +69,16 @@ def _subtree_rule(scaled: Sequence[int]) -> _Rule:
     top run that already ends on the last index has no child. These sums
     never fall as i falls, so a node's children open their buckets in
     position order. The masks the rule needs depend only on a position, so
-    it builds them once, in tables: bit[i] = 1 << i, and below[p] = (1 <<
-    p) - 1, whose xor with the mask clears the top run and sets the bit
-    just below it, if any, so that the xor's bit_length is the run's
+    it reads them from the tables every rule shares (see
+    subsetsum.powerset._PositionTable): bit[i] = 1 << i, and below[p] =
+    (1 << p) - 1, whose xor with the mask clears the top run and sets the
+    bit just below it, if any, so that the xor's bit_length is the run's
     start. A shift whose result passes 256 makes a new int object, so
     computing these per node and per child paid an allocation for each of
     them past bit 8.
     """
     size = len(scaled)
-    bit = [1 << i for i in range(size)]
-    below = [(1 << p) - 1 for p in range(size)]
+    bit, below = _BIT.at_least(size), _BELOW.at_least(size)
 
     def children(cursor: list, stop: int, buckets: dict[int, list], sums: list[int], codes: list,
                  ends: MutableSequence[int] | None, totals: MutableSequence[int] | None) -> None:

@@ -22,6 +22,8 @@ import gc
 import itertools
 import math
 import random
+import sys
+import threading
 import tracemalloc
 from array import array
 from collections import Counter
@@ -49,6 +51,7 @@ from subsetsum import (
 )
 from subsetsum import powerset, solver
 from subsetsum.powerset import _binheap_rule, _decode, _RunFrontier, binheap_children, binheap_root
+from subsetsum.subset_tree import _subtree_rule
 
 
 def _frontier_pairs(s):
@@ -139,15 +142,19 @@ def test_solve_finds_planted_pair_among_300_values():
 
 def test_rank_past_the_end_raises_before_any_expansion():
     s = ScaledSet(tuple(range(1, 18)))
-    frontier = binheap_frontier(s)
-    with pytest.raises(InputError, match=r"^rank 131072 exceeds the 131071 subsets in this tree$"):
-        frontier.select(2**17)
-    assert frontier.nodes_expanded == 0
-    frontier = subtree_frontier(SubsetTree(s, 8))
-    total = math.comb(17, 8)
-    with pytest.raises(InputError, match=rf"^rank {total + 1} exceeds the {total} subsets in this tree$"):
-        frontier.select(total + 1)
-    assert frontier.nodes_expanded == 0
+    scaled, total = s.scaled_values, math.comb(17, 8)
+    top = sum(scaled)
+    frontiers = [
+        (binheap_frontier(s), 2**17 - 1),
+        (subtree_frontier(SubsetTree(s, 8)), total),
+        # The solver's own frontiers, over the same two trees, with a target no subset reaches.
+        (_RunFrontier(1, 1, _binheap_rule(scaled), 2**17 - 1, top, top + 1), 2**17 - 1),
+        (_RunFrontier(2**8 - 1, sum(scaled[:8]), _subtree_rule(scaled), total, top, top + 1), total),
+    ]
+    for frontier, size in frontiers:
+        with pytest.raises(InputError, match=rf"^rank {size + 1} exceeds the {size} subsets in this tree$"):
+            frontier.select(size + 1)
+        assert frontier.nodes_expanded == 0
 
 
 _S5 = ScaledSet((1, 5, 6, 13, 16))
@@ -155,7 +162,14 @@ _FRONTIERS = {
     "subtree_frontier": lambda: subtree_frontier(SubsetTree(_S5, 2)),
     "binheap_frontier": lambda: binheap_frontier(_S5),
     "Frontier(root, expand)": lambda: Frontier(binheap_root(_S5), partial(binheap_children, s=_S5)),
+    # The solver's frontier over the length-2 tree, whose largest sum is 29, searching for 30.
+    "_RunFrontier": lambda: _RunFrontier(0b11, 6, _subtree_rule(_S5.scaled_values), 10, 29, 30),
 }
+
+
+def _served(record):
+    """What a select serves: the subset, or from the solver's frontier, which returns itself, the sum."""
+    return record.cached_sum if isinstance(record, _RunFrontier) else record
 
 
 @pytest.mark.parametrize("bad", [2.0, True, "2"], ids=repr)
@@ -180,7 +194,7 @@ def test_non_int_rank_is_refused_before_any_expansion(make, bad):
     with pytest.raises(InputError, match="^rank"):
         frontier.select(bad)
     assert frontier.nodes_expanded == 0
-    assert frontier.select(2) == make().select(2)
+    assert _served(frontier.select(2)) == _served(make().select(2))
 
 
 def _produced(frontier, root):
@@ -422,14 +436,16 @@ def test_solver_frontier_forgets_below_lo_and_matches_a_public_one(monkeypatch, 
             assert outcome.subset == unscale(public_found, s)
 
 
+def _behaviour(outcome):
+    """A solve's subset and, per searched length, its probed ranks, nodes expanded and decision."""
+    return outcome.subset, [(r.order, r.ranks_probed, r.nodes_expanded, r.found) for r in outcome.stats.orders]
+
+
 @pytest.mark.parametrize("chunk", [1, 2, 3])
 def test_rank_search_is_the_same_in_chunks_of_any_size(monkeypatch, chunk):
     # A run split across calls to the rule must still yield its first code, and every record.
     def behaviour():
-        return [
-            (outcome.subset, [(r.ranks_probed, r.nodes_expanded, r.found) for r in outcome.stats.orders])
-            for outcome in (call(instance) for call, instance in _solver_searches())
-        ]
+        return [_behaviour(call(instance)) for call, instance in _solver_searches()]
 
     expected = behaviour()
     monkeypatch.setattr(powerset, "_CHUNK", chunk)
@@ -481,3 +497,79 @@ def test_forgotten_rank_raises_and_changes_nothing(monkeypatch, call):
                 frontier.select(k)
             assert state() == before
         assert frontier.select(total).cached_sum == last
+
+
+# The masks every rule indexes by position live in one _PositionTable per
+# kind and process, which grows by building a longer list and swapping it
+# in, never by changing a list in place.
+
+_TABLES = {"bit": (powerset._BIT, lambda i: 1 << i), "below": (powerset._BELOW, lambda p: (1 << p) - 1),
+           "move": (powerset._MOVE, lambda b: 3 << b - 1 if b else 0)}
+
+
+def _reset_tables(monkeypatch):
+    """Shrink every shared table to position 0 alone, as before any rule was built, until the test ends."""
+    for table, formula in _TABLES.values():
+        monkeypatch.setattr(table, "_table", [formula(0)])
+
+
+def _table_lengths():
+    """Each shared table's length, after checking every entry against its formula."""
+    lengths = {}
+    for name, (table, formula) in _TABLES.items():
+        assert table._table == [formula(i) for i in range(len(table._table))], name
+        lengths[name] = len(table._table)
+    return lengths
+
+
+def test_position_tables_grow_past_every_earlier_solve_and_never_in_place(monkeypatch):
+    _reset_tables(monkeypatch)
+    # Over 1..n the length-1 search for n expands every singleton, so its rule reads position n - 1.
+    taken = {}
+    for n in (5, 70, 20, 3):
+        assert solve(InputSet(tuple(range(1, n + 1)), n)).subset == (n,)
+        taken[n] = powerset._BIT._table, powerset._BELOW._table
+        if n == 5:
+            s = ScaledSet(tuple(range(1, 6)))
+            early = [subtree_frontier(SubsetTree(s, 2)), binheap_frontier(s)]
+            assert _table_lengths() == {"bit": 5, "below": 5, "move": 5}
+    assert _table_lengths() == {"bit": 70, "below": 70, "move": 5}  # no fixed-length solve reads move
+    assert taken[3] == taken[20] == taken[70] and all(a is b for a, b in zip(taken[3], taken[70]))
+    assert [len(table) for table in taken[5]] == [5, 5]  # the lists the early frontiers took are as they were
+    for frontier, fresh, total in zip(early, [subtree_frontier(SubsetTree(s, 2)), binheap_frontier(s)], (10, 31)):
+        for k in range(1, total + 1):
+            got, expected = frontier.select(k), fresh.select(k)
+            assert (got.indices, got.cached_sum) == (expected.indices, expected.cached_sum), k
+
+
+def test_threads_growing_the_tables_at_once_return_the_sequential_outcomes(monkeypatch):
+    # Both searches read every position: over 1..12 no subset reaches 100, and with the window off every
+    # length is searched to its end; over 1..40 only 39 + 40 makes 79, the last rank of the length-2 tree.
+    solves = [partial(solve, InputSet(tuple(range(1, 13)), 100), range_check=False),
+              partial(solve, InputSet(tuple(range(1, 41)), 79))]
+    expected = [_behaviour(call()) for call in solves]
+    assert expected[0][0] is None and expected[1][0] == (39, 40)
+    workers, repeats = 6, 3  # more threads than a 4-core runner has cores; even threads solve N=12, odd ones N=40
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            _reset_tables(monkeypatch)  # every round grows the tables from position 0
+            start, got = threading.Barrier(workers), [[] for _ in range(workers)]
+
+            def work(i):
+                start.wait(timeout=60)
+                for _ in range(repeats):
+                    got[i].append(_behaviour(solves[i % 2]()))
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert got == [[expected[i % 2]] * repeats for i in range(workers)]
+            lengths = _table_lengths()  # a thread that grew a table to 12 may swap its list in last
+            assert lengths["bit"] >= 12 and lengths["below"] >= 12
+    finally:
+        sys.setswitchinterval(switch)

@@ -169,11 +169,11 @@ MUTANTS = (
     ),
     Mutant(
         "binheap-move-keeps-top", "the power-set rule's left child keeps the top bit it moves", "powerset.py",
-        "move = [0] + [3 << b - 1 for b in range(1, size)]", "move = [0] + [1 << b for b in range(1, size)]",
+        "[3 << b - 1 for b in new]", "[1 << b for b in new]",
     ),
     Mutant(
-        "subtree-below-one-wide", "the fixed-length rule's below table is one bit too wide", "subset_tree.py",
-        "below = [(1 << p) - 1 for p in range(size)]", "below = [(1 << p + 1) - 1 for p in range(size)]",
+        "subtree-below-one-wide", "the fixed-length rule's below table is one bit too wide", "powerset.py",
+        "[(1 << p) - 1 for p in new]", "[(1 << p + 1) - 1 for p in new]",
     ),
     Mutant(
         "forget-one-too-many", "forgetting drops one run too many", "powerset.py",
@@ -305,7 +305,26 @@ MUTANTS = (
     Mutant(
         "drained-never-cleared", "the solver's select holds every drained run of a probe, not one call's",
         "powerset.py",
-        "            drained.clear()\n", "            pass\n",
+        ("cursor = self._cursor\n        while cursor[3] < k:\n            if ends", "self._pop_chunk(k, [], ends, totals)"),
+        (
+            "cursor, drained = self._cursor, []\n        while cursor[3] < k:\n            if ends",
+            "self._pop_chunk(k, drained, ends, totals)",
+        ),
+    ),
+    Mutant(
+        "tables-one-short", "a shared position table grows one position short of what its rule needs",
+        "powerset.py",
+        "self._masks(range(len(table), size))", "self._masks(range(len(table), size - 1))",
+    ),
+    Mutant(
+        "fast-guard-serves-forgotten", "the solver's select serves the last forgotten rank on its hot path",
+        "powerset.py",
+        "self._base < k <= self._size", "self._base <= k <= self._size",
+    ),
+    Mutant(
+        "fast-guard-refuses-last-rank", "the solver's select sends the tree's last rank to its refusals",
+        "powerset.py",
+        "self._base < k <= self._size", "self._base < k < self._size",
     ),
     Mutant(
         "equivalent-clear-low-bit", "control: clear the low bit with -= in place of ^=", "powerset.py",
