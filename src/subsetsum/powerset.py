@@ -38,7 +38,7 @@ from typing import Callable, MutableSequence, Sequence
 from .model import IndexSubset, InputError, ScaledSet, _checked_indices, _checked_scaled
 
 # A rule drains a frontier's pending nodes in pop order. Called as
-# rule(cursor, stop, buckets, sums, codes, ends, totals), it expands
+# rule(cursor, stop, buckets, sums, runs, ends, totals), it expands
 # pending nodes until stop nodes have been popped in all, and writes the
 # cursor back when done. The cursor [bucket, head, sum, popped] is the
 # bucket being drained, which has left buckets, the map of each distinct
@@ -57,39 +57,37 @@ from .model import IndexSubset, InputError, ScaledSet, _checked_indices, _checke
 # A rule trusts stop not to pass the last node, since select checks the
 # rank against the tree's size first.
 #
-# Per run, the rule writes what its frontier memoizes. Given ends=None, as
-# the public frontiers' select does, it adds the run's codes to the codes
-# list, whole (codes += run). Given ends and totals, as the solver's
-# _RunFrontier does, it writes the run's record instead, its last rank to
-# ends and its sum to totals, and appends the run itself, one reference,
-# to codes. So that frontier pays per run, not per node: most nodes share
-# a run on the exhaustive benchmark. codes then holds the call's drained
-# runs until the call returns, so their codes are freed together, not one
-# run at a time between the allocations of the next run's children: that
-# interleaving made the positive benchmark's solves about 4% slower
-# (CPython 3.11.7). An empty run, which only
-# _RunFrontier's match bucket can be, writes a record of no nodes. Each
-# rule holds its own copy of this loop: a shared loop that called the rule
-# once per run made the planted benchmark's median solve 5-16% slower,
-# since its buckets are mostly single nodes. A code is a node's bit mask,
-# for either tree; _decode maps it to the IndexSubset it stands for. A
-# rule indexes tables of every mask and gain that depends only on a
-# position by the node's bit_length: a shift whose result passes 256 makes
-# a new int object, so a shift per node or per child would allocate one
-# for most nodes of a tree past 8 values. The masks depend on the position
-# alone, so every rule shares them (see _PositionTable); a gain depends
-# on the values too, so a rule's factory builds its own.
-_Rule = Callable[
-    [list, int, dict[int, list], list[int], list, MutableSequence[int] | None, MutableSequence[int] | None], None
-]
+# Every caller gets the same output. For each run, or piece of a run, that
+# the call drains, the rule appends the run itself, one reference, to
+# runs, its last rank to ends and its sum to totals; each frontier keeps
+# what it memoizes of them. The solver's _RunFrontier keeps the records
+# and drops the runs, so it pays per run, not per node: most nodes share a
+# run on the exhaustive benchmark. The public frontiers pack each run's
+# codes into their memo and drop the records. runs holds the call's
+# drained runs until the call returns, so their codes are freed together,
+# not one run at a time between the allocations of the next run's
+# children: that interleaving made the positive benchmark's solves about
+# 4% slower (CPython 3.11.7). An empty run, which only _RunFrontier's
+# match bucket can be, writes a record of no nodes. Each rule holds its
+# own copy of this loop: a shared loop that called the rule once per run
+# made the planted benchmark's median solve 5-16% slower, since its
+# buckets are mostly single nodes. A code is a node's bit mask, for either
+# tree; _decode maps it to the IndexSubset it stands for. A rule indexes
+# tables of every mask and gain that depends only on a position by the
+# node's bit_length: a shift whose result passes 256 makes a new int
+# object, so a shift per node or per child would allocate one for most
+# nodes of a tree past 8 values. The masks depend on the position alone,
+# so every rule shares them (see _PositionTable); a gain depends on the
+# values too, so a rule's factory builds its own.
+_Rule = Callable[[list, int, dict[int, list], list[int], list, MutableSequence[int], MutableSequence[int]], None]
 
-# The most nodes one call to the rule expands. A public frontier's select
-# stages each call's codes in a list, about 40 bytes a code, and then packs
-# them into its memo at 8 bytes each. The solver's _RunFrontier holds each
-# call's drained runs, so their codes are freed once per call. Either
-# holds up to this many codes, some 10 KiB, while the rule's call, the
-# pack and the batch of frees are paid once per few hundred nodes. At
-# 1,024 the runs held raised the exhaustive benchmark's peak from 73 to
+# The most nodes one call to the rule expands. Each call's drained runs
+# are held in a list, about 40 bytes a code, until the call returns: the
+# solver's _RunFrontier then drops them, so their codes are freed once per
+# call, and a public frontier's select packs each run into its memo at 8
+# bytes a code. Either holds up to this many codes, some 10 KiB, while the
+# rule's call and the batch of frees are paid once per few hundred nodes.
+# At 1,024 the runs held raised the exhaustive benchmark's peak from 73 to
 # 112 KiB; at 128 the batched frees no longer saved time.
 _CHUNK = 256
 
@@ -98,7 +96,7 @@ class _ListMemo(list):
     """A memo that is a list, for codes wider than 64 bits.
 
     fromlist appends a list's items, as array.fromlist does, so select packs
-    a chunk into either kind of memo with the same call.
+    a run into either kind of memo with the same call.
     """
 
     fromlist = list.extend
@@ -176,8 +174,8 @@ def _binheap_rule(scaled: Sequence[int]) -> _Rule:
     bit, move = _BIT.at_least(size), _MOVE.at_least(size)
     gap = [0] + [scaled[b] - scaled[b - 1] for b in range(1, size)]
 
-    def children(cursor: list, stop: int, buckets: dict[int, list], sums: list[int], codes: list,
-                 ends: MutableSequence[int] | None, totals: MutableSequence[int] | None) -> None:
+    def children(cursor: list, stop: int, buckets: dict[int, list], sums: list[int], runs: list,
+                 ends: MutableSequence[int], totals: MutableSequence[int]) -> None:
         bucket, head, total, done = cursor
         while True:
             count = stop - done
@@ -201,12 +199,9 @@ def _binheap_rule(scaled: Sequence[int]) -> _Rule:
                 else:
                     pending.append(mask | bit[nxt])
             done += len(run)
-            if ends is None:
-                codes += run
-            else:
-                codes.append(run)
-                ends.append(done)
-                totals.append(total)
+            runs.append(run)
+            ends.append(done)
+            totals.append(total)
             if done >= stop:
                 break
             total = heappop(sums)
@@ -225,7 +220,7 @@ def _decoded_children(rule: _Rule, scaled: Sequence[int], code: int) -> list[Ind
     each child's sum is the one _decode derives from its indices.
     """
     buckets: dict[int, list] = {}
-    rule([[code], 0, 0, 0], 1, buckets, [], [], None, None)
+    rule([[code], 0, 0, 0], 1, buckets, [], [], [], [])
     return [_decode(scaled, child) for bucket in buckets.values() for child in bucket]
 
 
@@ -377,10 +372,11 @@ class _BucketQueue:
         """Number of nodes popped and expanded so far."""
         return self._cursor[3]
 
-    def _pop_chunk(
-        self, k: int, codes: list, ends: MutableSequence[int] | None, totals: MutableSequence[int] | None
-    ) -> None:
+    def _pop_chunk(self, k: int, runs: list, ends: MutableSequence[int], totals: MutableSequence[int]) -> None:
         """Expand the next chunk of at most _CHUNK nodes toward rank k, through the rule.
+
+        The rule appends each run it drains to runs, and the run's record to
+        ends and totals (see _Rule).
 
         A cursor whose bucket an earlier call drained first takes the next
         one, as the rule does between runs, and passes over an empty one,
@@ -391,7 +387,7 @@ class _BucketQueue:
         while cursor[1] == len(cursor[0]):
             cursor[2] = total = heappop(self._sums)
             cursor[0], cursor[1] = self._buckets.pop(total), 0
-        self._rule(cursor, min(k, cursor[3] + _CHUNK), self._buckets, self._sums, codes, ends, totals)
+        self._rule(cursor, min(k, cursor[3] + _CHUNK), self._buckets, self._sums, runs, ends, totals)
 
     def _check(self, k: int) -> None:
         """Refuse a rank that is not an int of at least 1, or is past the end of the tree, before any expansion."""
@@ -406,16 +402,15 @@ class _CodedFrontier(_BucketQueue, Frontier):
     The memo holds each popped code, and only the code: a code becomes an
     IndexSubset, through _decode, which derives the sum from the indices,
     only when select returns its rank. It forgets nothing, so it serves
-    every rank in any order. select hands the rule a staging list and no
-    record arrays, so the rule writes each run's codes and no run record.
+    every rank in any order. Of what the rule writes (see _Rule), select
+    keeps each run's codes and drops the run records.
 
     A mask has one bit per value, so where the tree has up to 64 values the
     memo is an array of 8-byte unsigned ints, where a list pays an 8-byte
     slot plus an int object of about 32 bytes per code; more values keep a
-    list. The rule stages each chunk's codes in a short list, and select
-    packs the chunk into the memo: array.fromlist packs a chunk about three
-    times as fast as array.extend, which converts one item at a time as it
-    grows the array.
+    list. select packs each run the rule hands back into the memo:
+    array.fromlist packs a list about three times as fast as array.extend,
+    which converts one item at a time as it grows the array.
     """
 
     def __init__(self, code: int, total: int, rule: _Rule, scaled: Sequence[int], size: int) -> None:
@@ -427,23 +422,23 @@ class _CodedFrontier(_BucketQueue, Frontier):
         """Return the rank-k subset (1-based) in nondecreasing-sum order.
 
         The rule expands the nodes from the cursor up to rank k, a run of
-        equal sums at a time, filing their children into buckets and
-        staging each run's codes in a list, at most _CHUNK nodes per call;
-        select packs each call's codes into the memo. When the cursor's
-        bucket is drained, the rule pops the next smallest sum and takes
-        its bucket; heap order means no pending sum is ever below the
-        cursor's. Only the returned rank is decoded.
+        equal sums at a time, filing their children into buckets and handing
+        back each run, at most _CHUNK nodes per call; select packs each
+        call's runs into the memo in order. When the cursor's bucket is
+        drained, the rule pops the next smallest sum and takes its bucket;
+        heap order means no pending sum is ever below the cursor's. Only
+        the returned rank is decoded.
 
         A rank that is not an int of at least 1, or past the end of the
         tree, raises InputError before any node is expanded.
         """
         self._check(k)
         popped, cursor = self._popped, self._cursor
-        staged: list = []
         while cursor[3] < k:
-            self._pop_chunk(k, staged, None, None)
-            popped.fromlist(staged)
-            staged.clear()
+            runs: list = []
+            self._pop_chunk(k, runs, [], [])
+            for run in runs:
+                popped.fromlist(run)
         return self._decode(popped[k - 1])
 
 

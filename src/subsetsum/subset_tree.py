@@ -80,8 +80,8 @@ def _subtree_rule(scaled: Sequence[int]) -> _Rule:
     size = len(scaled)
     bit, below = _BIT.at_least(size), _BELOW.at_least(size)
 
-    def children(cursor: list, stop: int, buckets: dict[int, list], sums: list[int], codes: list,
-                 ends: MutableSequence[int] | None, totals: MutableSequence[int] | None) -> None:
+    def children(cursor: list, stop: int, buckets: dict[int, list], sums: list[int], runs: list,
+                 ends: MutableSequence[int], totals: MutableSequence[int]) -> None:
         bucket, head, total, done = cursor
         while True:
             count = stop - done
@@ -103,12 +103,9 @@ def _subtree_rule(scaled: Sequence[int]) -> _Rule:
                             pending.append(mask ^ bit[i])
                         i -= 1
             done += len(run)
-            if ends is None:
-                codes += run
-            else:
-                codes.append(run)
-                ends.append(done)
-                totals.append(total)
+            runs.append(run)
+            ends.append(done)
+            totals.append(total)
             if done >= stop:
                 break
             total = heappop(sums)

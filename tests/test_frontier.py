@@ -55,7 +55,7 @@ from subsetsum.subset_tree import _subtree_rule
 
 
 def _frontier_pairs(s):
-    """(coded, viewed, subsets) for every fixed-length tree of s and its power-set tree."""
+    """(coded, viewed, total) for every fixed-length tree of s and its power-set tree."""
     for n in range(1, s.size + 1):
         tree = SubsetTree(s, n)
         viewed = Frontier(subtree_root(s, n), partial(subtree_children, tree=tree))
@@ -207,7 +207,7 @@ def _produced(frontier, root):
     produced = [root]
     for code in frontier._popped:
         buckets = {}
-        frontier._rule([[code], 0, frontier._decode(code).cached_sum, 0], 1, buckets, [], [], None, None)
+        frontier._rule([[code], 0, frontier._decode(code).cached_sum, 0], 1, buckets, [], [], [], [])
         produced += [(child, key) for key, bucket in buckets.items() for child in bucket]
     return produced
 
@@ -441,11 +441,24 @@ def _behaviour(outcome):
     return outcome.subset, [(r.order, r.ranks_probed, r.nodes_expanded, r.found) for r in outcome.stats.orders]
 
 
+def _public_ranks():
+    """Every rank of every public frontier over two tied-sum sets, stepped up from rank 1 and read after the last."""
+    served = []
+    for values in [(3,) * 8, (1, 1, 2, 2, 3, 3)]:
+        s = normalize(InputSet(values, 0))
+        for (stepped, _, total), (last_first, _, _) in zip(_frontier_pairs(s), _frontier_pairs(s)):
+            served.append([stepped.select(k) for k in range(1, total + 1)])
+            last_first.select(total)  # one select that drains the whole tree over many rule calls
+            served.append([last_first.select(k) for k in range(1, total + 1)])
+    return served
+
+
 @pytest.mark.parametrize("chunk", [1, 2, 3])
 def test_rank_search_is_the_same_in_chunks_of_any_size(monkeypatch, chunk):
-    # A run split across calls to the rule must still yield its first code, and every record.
+    # A run split across calls to the rule must still yield its first code, and every record;
+    # a public frontier must pack every piece of it into its memo, in order.
     def behaviour():
-        return [_behaviour(call(instance)) for call, instance in _solver_searches()]
+        return [_behaviour(call(instance)) for call, instance in _solver_searches()], _public_ranks()
 
     expected = behaviour()
     monkeypatch.setattr(powerset, "_CHUNK", chunk)

@@ -41,6 +41,11 @@ TIMEOUT = 300
 # unmutated suite's pytest process peaks at 63 MiB of virtual memory (VmPeak) and its CLI subprocesses at
 # 20 MiB: the cap is eight times the larger.
 MEMORY_CAP = 512 << 20
+# glibc reserves 64 MiB of address space for each thread's malloc arena, so the suite's six-thread test takes
+# the pytest process's VmPeak to 568-704 MiB, and under the cap a thread can fail to start ("can't start new
+# thread"), which reads an equivalent control as killed. Two arenas keep it at 200 MiB; the memory a mutant
+# can actually allocate is capped as before.
+ARENAS = "2"
 
 
 class Mutant(NamedTuple):
@@ -68,15 +73,20 @@ _CHECK = (
 _PUSH = "                heappush(heap, (child.cached_sum, next(seq), child))\n"
 _POP = "            heappop(heap)\n            popped.append(node)\n"
 _LOOP = "            for child in children:\n"
-# A rule's per-run write: its codes to a public frontier, or its record to a _RunFrontier.
+# A rule's per-run write, the same for every frontier: the run, and its record.
 _RECORD = (
     "            done += len(run)\n"
-    "            if ends is None:\n"
-    "                codes += run\n"
-    "            else:\n"
-    "                codes.append(run)\n"
-    "                ends.append(done)\n"
-    "                totals.append(total)\n"
+    "            runs.append(run)\n"
+    "            ends.append(done)\n"
+    "            totals.append(total)\n"
+)
+# The public frontiers' select: a fresh list of runs per rule call, each run packed into the memo in order.
+_PACK = (
+    "        while cursor[3] < k:\n"
+    "            runs: list = []\n"
+    "            self._pop_chunk(k, runs, [], [])\n"
+    "            for run in runs:\n"
+    "                popped.fromlist(run)\n"
 )
 
 MUTANTS = (
@@ -299,8 +309,18 @@ MUTANTS = (
         'self._popped = array("Q")', 'self._popped = array("q")',
     ),
     Mutant(
-        "staging-never-cleared", "select never clears the staging list after packing it", "powerset.py",
-        "            staged.clear()\n", "            pass\n",
+        "runs-never-renewed", "the public select hands every rule call the same list of runs", "powerset.py",
+        _PACK,
+        _PACK.replace("        while cursor[3] < k:\n            runs: list = []\n",
+                      "        runs: list = []\n        while cursor[3] < k:\n"),
+    ),
+    Mutant(
+        "memo-skips-last-run", "the public select packs every run of a rule call but the last", "powerset.py",
+        _PACK, _PACK.replace("for run in runs:", "for run in runs[:-1]:"),
+    ),
+    Mutant(
+        "memo-packs-runs-reversed", "the public select packs a rule call's runs in reverse order", "powerset.py",
+        _PACK, _PACK.replace("for run in runs:", "for run in reversed(runs):"),
     ),
     Mutant(
         "drained-never-cleared", "the solver's select holds every drained run of a probe, not one call's",
@@ -332,12 +352,12 @@ MUTANTS = (
     ),
     Mutant(
         "equivalent-view-rule-from-one", "control: the views run the rule from a sum of 1", "powerset.py",
-        "rule([[code], 0, 0, 0], 1, buckets, [], [], None, None)",
-        "rule([[code], 0, 1, 0], 1, buckets, [], [], None, None)", equivalent=True,
+        "rule([[code], 0, 0, 0], 1, buckets, [], [], [], [])",
+        "rule([[code], 0, 1, 0], 1, buckets, [], [], [], [])", equivalent=True,
     ),
     Mutant(
         "equivalent-memo-before-run",
-        "control: the fixed-length rule writes each run's codes or record before expanding it", "subset_tree.py",
+        "control: the fixed-length rule writes each run and its record before expanding it", "subset_tree.py",
         (_RECORD, "            for mask in run:\n"),
         ("", _RECORD + "            for mask in run:\n"),
         equivalent=True,
@@ -383,7 +403,7 @@ def run_mutant(m: Mutant) -> tuple[str, float, str]:
         for old, new in m.edits():
             text = text.replace(old, new)
         target.write_text(text, encoding="utf-8")
-        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1", MALLOC_ARENA_MAX=ARENAS)
         command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"]
         started = time.monotonic()
         proc = subprocess.Popen(
