@@ -17,10 +17,12 @@ subsetsum.subset_tree.
 Both rules drive the bucket queue of _BucketQueue: binheap_frontier and
 subtree_frontier run it in a _CodedFrontier, which memoizes every popped
 code, and every solve runs it in a _RunFrontier, which keeps one record
-per run of equal sums. binheap_root and binheap_children are the power-set
-tree's IndexSubset view. That view is internal, not exported by the package:
-subsetsum.checks, the tests and the benchmark's layer replica use it, and
-no solve reaches it. Frontier(root, expand) is the plain best-first heap
+per run of equal sums and files its buckets in a list indexed by the sum
+when the tree's sums span fewer values than it has nodes. binheap_root
+and binheap_children are the power-set tree's IndexSubset view. That view
+is internal, not exported by the package: subsetsum.checks, the tests and
+the benchmark's layer replica use it, and no solve reaches it.
+Frontier(root, expand) is the plain best-first heap
 over IndexSubset nodes, which only the tests and the replica build. Both
 retire once the replica runs on the coded rules. The public view of the
 paper's subset tree is subtree_root/subtree_children.
@@ -33,7 +35,7 @@ from bisect import bisect_left, bisect_right
 from functools import partial
 from heapq import heappop, heappush
 from itertools import count
-from typing import Callable, MutableSequence, Sequence
+from typing import Callable, MutableSequence, NamedTuple, Sequence
 
 from .model import IndexSubset, InputError, ScaledSet, _checked_indices, _checked_scaled
 
@@ -41,21 +43,28 @@ from .model import IndexSubset, InputError, ScaledSet, _checked_indices, _checke
 # rule(cursor, stop, buckets, sums, runs, ends, totals), it expands
 # pending nodes until stop nodes have been popped in all, and writes the
 # cursor back when done. The cursor [bucket, head, sum, popped] is the
-# bucket being drained, which has left buckets, the map of each distinct
-# pending sum to its list of codes in insertion order, and the count of
-# nodes popped so far; sums is the heap of the map's keys. Once the
-# cursor's bucket is drained, the rule heappops the next sum and takes its
-# bucket with buckets.pop, so no child joins a bucket while it drains: a
-# child with its parent's sum opens a new bucket at that sum, which the
-# heap hands out next, and ties still pop first in, first out. Each bucket
-# is one run of nodes sharing a sum: a bucket that fits in what is left
-# before stop is expanded in place; one that does not, or the rest of a
-# bucket an earlier call left unfinished, is sliced, so exactly the nodes
-# up to stop are expanded. Each child's code is appended to
-# buckets[child_sum]; a child whose sum has no bucket opens one and
-# heappushes the sum. No child_sum is below sum: the tree is heap-ordered.
-# A rule trusts stop not to pass the last node, since select checks the
-# rank against the tree's size first.
+# bucket being drained, which has left buckets, its sum, and the count of
+# nodes popped so far. buckets holds each pending sum's list of codes in
+# insertion order, in one of two forms (see _BucketQueue): the keyed form,
+# a map from each distinct pending sum to its list, with sums the heap of
+# the map's keys; and the slotted form, a list indexed by the sum less the
+# root's, each slot None or a list, with no heap (sums is None). At the top of its
+# loop, whenever the cursor's bucket is drained, the rule takes the next
+# bucket out of buckets: the keyed form heappops the smallest sum, the
+# slotted form scans forward from the cursor's own sum, inclusive. So no
+# child joins a bucket while it drains: a child with its parent's sum
+# opens a new bucket at that sum, which is taken next, and ties still pop
+# first in, first out. A taken bucket that is empty, which only
+# _RunFrontier's match bucket can be, is passed over and leaves no record.
+# Each bucket is one run of nodes sharing a sum: a bucket that fits in
+# what is left before stop is expanded in place; one that does not, or the
+# rest of a bucket an earlier call left unfinished, is sliced, so exactly
+# the nodes up to stop are expanded. Each child's code is appended to the
+# bucket of its sum; a child whose sum has no bucket opens one, and in the
+# keyed form heappushes the sum. No child_sum is below sum: the tree is
+# heap-ordered. A rule trusts stop not to pass the last node, since select
+# checks the rank against the tree's size first, and the slotted form
+# trusts its list to reach the tree's largest sum.
 #
 # Every caller gets the same output. For each run, or piece of a run, that
 # the call drains, the rule appends the run itself, one reference, to
@@ -67,19 +76,31 @@ from .model import IndexSubset, InputError, ScaledSet, _checked_indices, _checke
 # drained runs until the call returns, so their codes are freed together,
 # not one run at a time between the allocations of the next run's
 # children: that interleaving made the positive benchmark's solves about
-# 4% slower (CPython 3.11.7). An empty run, which only _RunFrontier's
-# match bucket can be, writes a record of no nodes. Each rule holds its
-# own copy of this loop: a shared loop that called the rule once per run
-# made the planted benchmark's median solve 5-16% slower, since its
-# buckets are mostly single nodes. A code is a node's bit mask, for either
-# tree; _decode maps it to the IndexSubset it stands for. A rule indexes
-# tables of every mask and gain that depends only on a position by the
-# node's bit_length: a shift whose result passes 256 makes a new int
-# object, so a shift per node or per child would allocate one for most
-# nodes of a tree past 8 values. The masks depend on the position alone,
-# so every rule shares them (see _PositionTable); a gain depends on the
-# values too, so a rule's factory builds its own.
-_Rule = Callable[[list, int, dict[int, list], list[int], list, MutableSequence[int], MutableSequence[int]], None]
+# 4% slower (CPython 3.11.7).
+#
+# Each tree's factory builds both forms of its rule, as a _Rules pair over
+# the same tables, and each form holds its own copy of the drain loop. A
+# shared loop that called the rule once per run made the planted
+# benchmark's median solve 5-16% slower, since its buckets are mostly
+# single nodes; a loop that tested the form per child would pay that test
+# on every child. A code is a node's bit mask, for either tree; _decode
+# maps it to the IndexSubset it stands for. A rule indexes tables of every
+# mask and gain that depends only on a position by the node's bit_length:
+# a shift whose result passes 256 makes a new int object, so a shift per
+# node or per child would allocate one for most nodes of a tree past 8
+# values. The masks depend on the position alone, so every rule shares
+# them (see _PositionTable); a gain depends on the values too, so a rule's
+# factory builds its own.
+_Rule = Callable[[list, int, dict[int, list] | list, list[int] | None, list, MutableSequence[int],
+                  MutableSequence[int]], None]
+
+
+class _Rules(NamedTuple):
+    """A tree's child rule in both forms of the bucket queue (see _Rule): keyed buckets, and slotted ones."""
+
+    keyed: _Rule
+    slotted: _Rule
+
 
 # The most nodes one call to the rule expands. Each call's drained runs
 # are held in a list, about 40 bytes a code, until the call returns: the
@@ -155,8 +176,8 @@ _BELOW = _PositionTable([0], lambda new: [(1 << p) - 1 for p in new])
 _MOVE = _PositionTable([0], lambda new: [3 << b - 1 for b in new])
 
 
-def _binheap_rule(scaled: Sequence[int]) -> _Rule:
-    """The child rule of the power-set tree over scaled (see _Rule).
+def _binheap_rule(scaled: Sequence[int]) -> _Rules:
+    """The child rule of the power-set tree over scaled, in both forms (see _Rule).
 
     It files the left child, then the right. With nxt = the mask's
     bit_length, the index just above the top bit, the left child moves the
@@ -174,10 +195,13 @@ def _binheap_rule(scaled: Sequence[int]) -> _Rule:
     bit, move = _BIT.at_least(size), _MOVE.at_least(size)
     gap = [0] + [scaled[b] - scaled[b - 1] for b in range(1, size)]
 
-    def children(cursor: list, stop: int, buckets: dict[int, list], sums: list[int], runs: list,
-                 ends: MutableSequence[int], totals: MutableSequence[int]) -> None:
+    def keyed(cursor: list, stop: int, buckets: dict[int, list], sums: list[int], runs: list,
+              ends: MutableSequence[int], totals: MutableSequence[int]) -> None:
         bucket, head, total, done = cursor
-        while True:
+        while done < stop:
+            while head == len(bucket):  # drained: take the bucket of the smallest pending sum
+                total = heappop(sums)
+                bucket, head = buckets.pop(total), 0
             count = stop - done
             run = bucket[head : head + count] if head or len(bucket) > count else bucket
             for mask in run:
@@ -198,26 +222,56 @@ def _binheap_rule(scaled: Sequence[int]) -> _Rule:
                     heappush(sums, right)
                 else:
                     pending.append(mask | bit[nxt])
+            head += len(run)
             done += len(run)
             runs.append(run)
             ends.append(done)
             totals.append(total)
-            if done >= stop:
-                break
-            total = heappop(sums)
-            bucket, head = buckets.pop(total), 0
-        cursor[:] = bucket, head + len(run), total, done
+        cursor[:] = bucket, head, total, done
 
-    return children
+    def slotted(cursor: list, stop: int, slots: list, _: None, runs: list,
+                ends: MutableSequence[int], totals: MutableSequence[int]) -> None:
+        bucket, head, total, done = cursor
+        while done < stop:
+            while head == len(bucket):  # drained: take the first bucket filed at or above the cursor's sum
+                while slots[total] is None:
+                    total += 1
+                bucket, head, slots[total] = slots[total], 0, None
+            count = stop - done
+            run = bucket[head : head + count] if head or len(bucket) > count else bucket
+            for mask in run:
+                nxt = mask.bit_length()
+                if nxt >= size:
+                    continue
+                left = total + gap[nxt]
+                pending = slots[left]
+                if pending is None:
+                    slots[left] = [mask ^ move[nxt]]
+                else:
+                    pending.append(mask ^ move[nxt])
+                right = total + scaled[nxt]
+                pending = slots[right]
+                if pending is None:
+                    slots[right] = [mask | bit[nxt]]
+                else:
+                    pending.append(mask | bit[nxt])
+            head += len(run)
+            done += len(run)
+            runs.append(run)
+            ends.append(done)
+            totals.append(total)
+        cursor[:] = bucket, head, total, done
+
+    return _Rules(keyed, slotted)
 
 
 def _decoded_children(rule: _Rule, scaled: Sequence[int], code: int) -> list[IndexSubset]:
     """One node's children as _decode gives them, grouped by sum in the order their buckets opened.
 
-    The rule expands one node from a one-code cursor at a sum of 0, on a
-    scratch bucket map, so a bucket's key is its children's sum less the
-    node's. Only differences between sums group and order the buckets, and
-    each child's sum is the one _decode derives from its indices.
+    The keyed rule expands one node from a one-code cursor at a sum of 0,
+    on a scratch bucket map, so a bucket's key is its children's sum less
+    the node's. Only differences between sums group and order the buckets,
+    and each child's sum is the one _decode derives from its indices.
     """
     buckets: dict[int, list] = {}
     rule([[code], 0, 0, 0], 1, buckets, [], [], [], [])
@@ -247,7 +301,7 @@ def binheap_children(node: IndexSubset, s: ScaledSet) -> list[IndexSubset]:
     checked = _checked_indices(node, _checked_scaled(s).size)
     if not checked:
         raise InputError(f"{node} is not a node of the power-set tree of {s.size} values")
-    return _decoded_children(_binheap_rule(s.scaled_values), s.scaled_values, _mask_of(checked))
+    return _decoded_children(_binheap_rule(s.scaled_values).keyed, s.scaled_values, _mask_of(checked))
 
 
 def _check_rank(k: object) -> None:
@@ -347,25 +401,37 @@ class _BucketQueue:
 
     A node is held as a code, the bit mask of its indices, in either tree.
     Pending codes wait in buckets, one list per distinct pending sum, in
-    insertion order, and the heap sums orders only the distinct sums, as in
-    Dial's bucket queue. A child whose sum is already pending costs one
-    append and no heap sift, and the only objects the garbage collector
-    tracks are the bucket lists, not the nodes. Each select calls the rule
-    (see _Rule) once per chunk of at most _CHUNK nodes, and the rule drains
-    buckets in pop order from a cursor [bucket, head, sum, popped]. A
-    drained bucket leaves the map when the heap hands out its sum, so a
-    child with its parent's sum opens a new bucket at that sum, and a run
-    of nodes sharing a sum is expanded without any per-node bookkeeping.
-    The pending count is the cursor's bucket past head plus every bucket in
-    sums; a registered bucket may sit at the cursor's own sum. What each
+    insertion order, as in Dial's bucket queue (CACM 1969). A child whose
+    sum is already pending costs one append, and the only objects the
+    garbage collector tracks are the bucket lists, not the nodes. The
+    buckets take one of two forms (see _Rule). Keyed, they are a map from
+    each distinct pending sum to its list, and the heap sums orders only
+    the distinct sums, so a child whose sum is pending pays no heap sift;
+    this form takes sums of any width. Slotted, they are a list with one
+    slot per sum from the root's to the tree's largest, each None or a
+    list, indexed by the sum less the root's: no hashing and no heap, and
+    the next bucket is the first slot filed at or above the cursor's sum.
+    Only _RunFrontier takes the slotted form, for a tree whose largest sum
+    less its root's is below its node count, so the slot list is never
+    longer than the tree (see _RunFrontier). Its sums, the cursor's and
+    the rule's records, are then relative to the root's.
+
+    Each select calls the rule once per chunk of at most _CHUNK nodes, and
+    the rule drains buckets in pop order from a cursor [bucket, head, sum,
+    popped]. A bucket leaves buckets when the rule takes it, so a child
+    with its parent's sum opens a new bucket at that sum, and a run of
+    nodes sharing a sum is expanded without any per-node bookkeeping. The
+    pending count is the cursor's bucket past head plus every bucket in
+    buckets; a registered bucket may sit at the cursor's own sum. What each
     subclass keeps of the popped nodes is its memo.
     """
 
-    def __init__(self, code: int, total: int, rule: _Rule, size: int) -> None:
+    def __init__(self, code: int, total: int, rule: _Rule, size: int, buckets: dict[int, list] | list,
+                 sums: list[int] | None) -> None:
         self._rule, self._size = rule, size
         self._cursor = [[code], 0, total, 0]  # [bucket, head, sum, popped]: the bucket being drained, not in _buckets
-        self._buckets: dict[int, list] = {}  # each distinct pending sum's codes, in insertion order
-        self._sums: list[int] = []  # the heap of the keys of _buckets
+        self._buckets = buckets  # each pending sum's codes, in insertion order: keyed by the sum, or slotted
+        self._sums = sums  # keyed: the heap of the keys of _buckets; slotted: None
 
     @property
     def nodes_expanded(self) -> int:
@@ -375,18 +441,11 @@ class _BucketQueue:
     def _pop_chunk(self, k: int, runs: list, ends: MutableSequence[int], totals: MutableSequence[int]) -> None:
         """Expand the next chunk of at most _CHUNK nodes toward rank k, through the rule.
 
-        The rule appends each run it drains to runs, and the run's record to
-        ends and totals (see _Rule).
-
-        A cursor whose bucket an earlier call drained first takes the next
-        one, as the rule does between runs, and passes over an empty one,
-        which only _RunFrontier's match bucket can be: so a call's first
-        run, and its record, holds at least one node.
+        The rule takes the next bucket itself when the cursor's is drained,
+        appends each run it drains to runs, and the run's record to ends and
+        totals (see _Rule).
         """
         cursor = self._cursor
-        while cursor[1] == len(cursor[0]):
-            cursor[2] = total = heappop(self._sums)
-            cursor[0], cursor[1] = self._buckets.pop(total), 0
         self._rule(cursor, min(k, cursor[3] + _CHUNK), self._buckets, self._sums, runs, ends, totals)
 
     def _check(self, k: int) -> None:
@@ -414,7 +473,7 @@ class _CodedFrontier(_BucketQueue, Frontier):
     """
 
     def __init__(self, code: int, total: int, rule: _Rule, scaled: Sequence[int], size: int) -> None:
-        super().__init__(code, total, rule, size)
+        super().__init__(code, total, rule, size, {}, [])
         self._decode = partial(_decode, scaled)
         self._popped = array("Q") if len(scaled) <= 64 else _ListMemo()
 
@@ -426,8 +485,9 @@ class _CodedFrontier(_BucketQueue, Frontier):
         back each run, at most _CHUNK nodes per call; select packs each
         call's runs into the memo in order. When the cursor's bucket is
         drained, the rule pops the next smallest sum and takes its bucket;
-        heap order means no pending sum is ever below the cursor's. Only
-        the returned rank is decoded.
+        heap order means no pending sum is ever below the cursor's. Its
+        buckets are always keyed (see _BucketQueue). Only the returned rank
+        is decoded.
 
         A rank that is not an int of at least 1, or past the end of the
         tree, raises InputError before any node is expanded.
@@ -451,21 +511,33 @@ class _RunFrontier(_BucketQueue):
     whose sum is at least the target, when that sum equals the target. That
     rank opens a run: it is the first node popped with the target's sum.
     So the frontier is built with the scaled target and registers an empty
-    bucket at that sum, unless the root already reaches it. Every node with
-    the target's sum is filed before that bucket is popped, so its first
-    code, matched[0], is the answer, and the bucket's list is kept after
-    the rule drains it. No other code is kept past the rule call that
-    drained it (see _Rule), and no probe decodes. Drained empty, the
-    bucket leaves a record of no nodes, which ends the same rank as the
-    run before it.
+    bucket at that sum, unless the root already reaches it or, slotted,
+    the target lies past top, the tree's largest sum. Every node with the
+    target's sum is filed before that bucket is taken, so its first code,
+    matched[0], is the answer, and the bucket's list is kept after the
+    rule drains it. No other code is kept past the rule call that drained
+    it (see _Rule), and no probe decodes. Drained empty, the bucket leaves
+    no record.
+
+    Its buckets are slotted (see _BucketQueue) exactly when top less the
+    root's sum is below size, the tree's node count, and keyed otherwise:
+    the choice depends only on the input. The slot list then holds fewer
+    slots than the tree has nodes, and the search's first probe, at rank
+    size / 2, expands half the tree anyway. On the benchmark's seed-7
+    pools the slotted trees expand over 97% of the nodes; only lengths 1,
+    2, N - 2 and N - 1, whose trees are small, stay keyed. Wider ranges,
+    such as sums of values drawn from +-10^12, or sums past 2^63, stay
+    keyed. Slotted, the cursor's sum and every recorded sum are relative to
+    the root's, which select adds back to cached_sum.
 
     select returns the frontier itself, a light record whose cached_sum is
     the sum at the rank just selected: lower_bound_rank_search reads
     cached_sum, and returns the record at a match, after which the solver
-    decodes matched[0]. Ranks and scaled sums are at least 1, so both
-    arrays hold 8-byte unsigned ints, whose append is about twice as fast
-    as a signed array's in CPython 3.11; sums of 64 bits or more, which
-    only a tree whose largest sum top reaches 2^64 can pop, keep a list.
+    decodes matched[0]. Ranks and scaled sums are at least 1, and relative
+    sums at least 0, so both arrays hold 8-byte unsigned ints, whose append
+    is about twice as fast as a signed array's in CPython 3.11; sums of 64
+    bits or more, which only a tree whose largest sum top reaches 2^64 can
+    pop, keep a list.
 
     The frontier forgets: whenever a probe rises above the previous one,
     select drops every run that ends at or before that previous probe. In a
@@ -476,16 +548,23 @@ class _RunFrontier(_BucketQueue):
     raises InputError.
     """
 
-    def __init__(self, code: int, total: int, rule: _Rule, size: int, top: int, target: int) -> None:
-        super().__init__(code, total, rule, size)
+    def __init__(self, code: int, total: int, rules: _Rules, size: int, top: int, target: int) -> None:
+        self.matched = [code] if target == total else []  # the codes filed at the target's sum, in pop order
+        if top - total < size:  # slotted: slot 0 is the root's sum, slot top - total the largest
+            super().__init__(code, 0, rules.slotted, size, [None] * (top - total + 1), None)
+            self._root = total  # what select adds back to a recorded sum
+            if total < target <= top:
+                self._buckets[target - total] = self.matched
+        else:
+            super().__init__(code, total, rules.keyed, size, {}, [])
+            self._root = 0
+            if target > total:
+                self._buckets[target] = self.matched
+                self._sums.append(target)
         self._ends = array("Q")  # each kept run's last rank
-        self._totals = array("Q") if top < 1 << 64 else []  # each kept run's sum
+        self._totals = array("Q") if top < 1 << 64 else []  # each kept run's sum, less _root
         self._base = 0  # ranks 1..base are forgotten
         self._probe = 0  # the previous rank selected
-        self.matched = [code] if target == total else []  # the codes filed at the target's sum, in pop order
-        if target > total:
-            self._buckets[target] = self.matched
-            self._sums.append(target)
         self.cached_sum = total  # the sum at the rank last selected; the root's before any
 
     def select(self, k: int) -> _RunFrontier:
@@ -516,7 +595,7 @@ class _RunFrontier(_BucketQueue):
             if ends and cursor[1] < len(cursor[0]):  # the last run goes on: the rule writes its record anew
                 del ends[-1], totals[-1]
             self._pop_chunk(k, [], ends, totals)
-        self.cached_sum = totals[bisect_left(ends, k)]
+        self.cached_sum = totals[bisect_left(ends, k)] + self._root
         return self
 
 
@@ -527,7 +606,7 @@ def binheap_frontier(s: ScaledSet) -> Frontier:
     """
     scaled = _checked_scaled(s).scaled_values
     root = 1  # the mask of {0}
-    return _CodedFrontier(root, scaled[0], _binheap_rule(scaled), scaled, (1 << s.size) - 1)
+    return _CodedFrontier(root, scaled[0], _binheap_rule(scaled).keyed, scaled, (1 << s.size) - 1)
 
 
 def lower_bound_rank_search(
@@ -550,7 +629,10 @@ def lower_bound_rank_search(
     timing or checking wrapper does. A frontier without one,
     a total that is not an int of at least 1, a target that is not an int
     (a bool is not one) and a rank_log that is not a list raise InputError
-    before any probe.
+    before any probe. The final rank's result is checked once per search,
+    not per probe: one without an int cached_sum (a bool is not one), which
+    no frontier of this package returns, raises InputError, so a stand-in
+    whose sum is True is not matched to a target of 1.
     """
     if not callable(getattr(frontier, "select", None)):
         raise InputError(f"expected a Frontier, or an object with its select, got {frontier!r}")
@@ -572,6 +654,8 @@ def lower_bound_rank_search(
     rank_log.append(lo)
     candidate = frontier.select(lo)
     probes = len(rank_log) - start
+    if type(getattr(candidate, "cached_sum", None)) is not int:
+        raise InputError(f"select must return a subset with an int sum, got {candidate!r} for rank {lo}")
     if candidate.cached_sum == target:
         return candidate, probes
     return None, probes

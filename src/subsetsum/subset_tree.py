@@ -27,7 +27,7 @@ from heapq import heappop, heappush
 from typing import MutableSequence, Sequence
 
 from .model import IndexSubset, InputError, ScaledSet, _check_length, _checked_indices, _checked_scaled
-from .powerset import _BELOW, _BIT, Frontier, _CodedFrontier, _decoded_children, _mask_of, _Rule
+from .powerset import _BELOW, _BIT, Frontier, _CodedFrontier, _decoded_children, _mask_of, _Rules
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,8 +54,8 @@ def _checked_tree(tree: object) -> SubsetTree:
     return tree
 
 
-def _subtree_rule(scaled: Sequence[int]) -> _Rule:
-    """The child rule of the fixed-length trees over scaled, one rule for every length (see _Rule).
+def _subtree_rule(scaled: Sequence[int]) -> _Rules:
+    """The child rule of the fixed-length trees over scaled, one for every length, in both forms (see _Rule).
 
     A node's code is the bit mask of its indices; the root of the length-n
     tree is (1 << n) - 1. The node's min_index, the lowest index it may
@@ -80,10 +80,13 @@ def _subtree_rule(scaled: Sequence[int]) -> _Rule:
     size = len(scaled)
     bit, below = _BIT.at_least(size), _BELOW.at_least(size)
 
-    def children(cursor: list, stop: int, buckets: dict[int, list], sums: list[int], runs: list,
-                 ends: MutableSequence[int], totals: MutableSequence[int]) -> None:
+    def keyed(cursor: list, stop: int, buckets: dict[int, list], sums: list[int], runs: list,
+              ends: MutableSequence[int], totals: MutableSequence[int]) -> None:
         bucket, head, total, done = cursor
-        while True:
+        while done < stop:
+            while head == len(bucket):  # drained: take the bucket of the smallest pending sum
+                total = heappop(sums)
+                bucket, head = buckets.pop(total), 0
             count = stop - done
             run = bucket[head : head + count] if head or len(bucket) > count else bucket
             for mask in run:
@@ -102,17 +105,46 @@ def _subtree_rule(scaled: Sequence[int]) -> _Rule:
                         else:
                             pending.append(mask ^ bit[i])
                         i -= 1
+            head += len(run)
             done += len(run)
             runs.append(run)
             ends.append(done)
             totals.append(total)
-            if done >= stop:
-                break
-            total = heappop(sums)
-            bucket, head = buckets.pop(total), 0
-        cursor[:] = bucket, head + len(run), total, done
+        cursor[:] = bucket, head, total, done
 
-    return children
+    def slotted(cursor: list, stop: int, slots: list, _: None, runs: list,
+                ends: MutableSequence[int], totals: MutableSequence[int]) -> None:
+        bucket, head, total, done = cursor
+        while done < stop:
+            while head == len(bucket):  # drained: take the first bucket filed at or above the cursor's sum
+                while slots[total] is None:
+                    total += 1
+                bucket, head, slots[total] = slots[total], 0, None
+            count = stop - done
+            run = bucket[head : head + count] if head or len(bucket) > count else bucket
+            for mask in run:
+                past = mask.bit_length()
+                if past < size:
+                    first = (mask ^ below[past]).bit_length()  # the start of the top run
+                    gained = total + scaled[past]
+                    mask |= bit[past]
+                    i = past - 1
+                    while i >= first:
+                        child_sum = gained - scaled[i]
+                        pending = slots[child_sum]
+                        if pending is None:
+                            slots[child_sum] = [mask ^ bit[i]]
+                        else:
+                            pending.append(mask ^ bit[i])
+                        i -= 1
+            head += len(run)
+            done += len(run)
+            runs.append(run)
+            ends.append(done)
+            totals.append(total)
+        cursor[:] = bucket, head, total, done
+
+    return _Rules(keyed, slotted)
 
 
 def subtree_root(s: ScaledSet, n: int) -> IndexSubset:
@@ -149,11 +181,11 @@ def subtree_children(node: IndexSubset, tree: SubsetTree) -> list[IndexSubset]:
     checked = _checked_indices(node, len(scaled))
     if len(checked) != tree.n:
         raise InputError(f"{node} is not a node of the tree of {tree.n}-subsets of {len(scaled)} values")
-    return _decoded_children(_subtree_rule(scaled), scaled, _mask_of(checked))
+    return _decoded_children(_subtree_rule(scaled).keyed, scaled, _mask_of(checked))
 
 
 def subtree_frontier(tree: SubsetTree) -> Frontier:
     """Fresh expansion state over the fixed-length subset tree; a tree that is not a SubsetTree raises InputError."""
     scaled = _checked_tree(tree).scaled.scaled_values
     root = (1 << tree.n) - 1
-    return _CodedFrontier(root, sum(scaled[: tree.n]), _subtree_rule(scaled), scaled, tree.total)
+    return _CodedFrontier(root, sum(scaled[: tree.n]), _subtree_rule(scaled).keyed, scaled, tree.total)

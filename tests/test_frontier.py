@@ -15,7 +15,9 @@ run of equal sums, not codes, and forget the runs its rank search has
 passed; public ones must still serve every rank in any order. A coded
 frontier packs its memo into 8-byte codes while the tree's widest code fits
 in 64 bits, and keeps a list past that; the solver's frontier packs its run
-records while the tree's largest sum does.
+records while the tree's largest sum does. The solver's frontier files its
+buckets in a list of slots exactly when the tree's sums span fewer values
+than it has nodes, and must serve the same sums, nodes and match either way.
 """
 
 import gc
@@ -384,7 +386,8 @@ class _Watched:
         # No run that ends below lo is held, and lo itself is not forgotten: the first kept run holds lo.
         assert frontier._base < self.lo <= ends[0], (k, self.lo)
         assert frontier.nodes_expanded == self.deepest  # popped so far, forgotten ones included
-        assert len(ends) == len(totals) and list(ends) == sorted(ends) and list(totals) == sorted(totals)
+        assert len(ends) == len(totals) and list(totals) == sorted(totals)
+        assert all(a < b for a, b in zip(ends, ends[1:]))  # every kept run holds a node: an empty bucket leaves none
         self.largest_memo = max(self.largest_memo, ends[-1] - frontier._base)  # the kept runs' nodes
         self.sums.append((k, record.cached_sum))
         if record.cached_sum < self.target:
@@ -475,6 +478,38 @@ def test_run_sums_pack_while_the_largest_sum_fits_in_64_bits(top, packed):
     assert frontier.matched == [0b11] and list(frontier._totals) == [top]
 
 
+# Each tree's largest sum less its root's is size - 1 + extra: the length-3 tree of 6 values (20 subsets) and the
+# power-set tree of 4 values (15 subsets), both with tied sums.
+_BOUNDARY_TREES = {
+    "length 3": lambda extra: (ScaledSet((1, 2, 3, 4, 5, 16 + extra)), 0b111, 20, _subtree_rule,
+                               lambda s: subtree_frontier(SubsetTree(s, 3))),
+    "power set": lambda extra: (ScaledSet((1, 3, 3, 8 + extra)), 1, 15, _binheap_rule, binheap_frontier),
+}
+
+
+@pytest.mark.parametrize("extra, slotted", [(0, True), (1, False)], ids=["range size - 1", "range size"])
+@pytest.mark.parametrize("tree", list(_BOUNDARY_TREES))
+def test_solver_frontier_is_slotted_exactly_when_its_sum_range_is_below_its_size(tree, extra, slotted):
+    s, root, size, rules, public_frontier = _BOUNDARY_TREES[tree](extra)
+    sums = [public_frontier(s).select(k).cached_sum for k in range(1, size + 1)]
+    assert sums[-1] - sums[0] == size - 1 + extra
+    # Every target from the root's sum to one past the largest: present, absent between sums, and above all.
+    for target in range(sums[0], sums[-1] + 2):
+        frontier = _RunFrontier(root, sums[0], rules(s.scaled_values), size, sums[-1], target)
+        assert isinstance(frontier._buckets, list if slotted else dict)
+        watched, ranks = _Watched(frontier, target), []  # checks the run memo after each probe
+        found, _ = lower_bound_rank_search(watched, size, target, ranks)
+        public = public_frontier(s)
+        public_ranks = []
+        public_found, _ = lower_bound_rank_search(public, size, target, public_ranks)
+        assert ranks == public_ranks, target
+        assert watched.sums == [(k, sums[k - 1]) for k in ranks], target
+        assert frontier.nodes_expanded == public.nodes_expanded, target
+        assert (found is None) == (public_found is None), target
+        if found is not None:
+            assert _decode(s.scaled_values, frontier.matched[0]) == public_found, target
+
+
 @pytest.mark.parametrize("values", [(-7, -3, -2, 5, 8), (1, 1, 2, 2, 3, 3), (-4, 0, 0, 9, -4, 2, 7)], ids=str)
 def test_public_frontiers_serve_every_rank_in_any_order_after_a_rank_search(values):
     s = normalize(InputSet(values, 0))
@@ -504,7 +539,8 @@ def test_forgotten_rank_raises_and_changes_nothing(monkeypatch, call):
 
         before = state()
         last = _public_frontier(s, record.order).select(total).cached_sum
-        assert before == (total - 1, total, total, last, ([total], [last], []))
+        # The memo holds sums in the frontier's units: less the root's sum when its buckets are slotted.
+        assert before == (total - 1, total, total, last, ([total], [last - frontier._root], []))
         for k in range(1, total):
             with pytest.raises(InputError, match=rf"^rank {k} was forgotten"):
                 frontier.select(k)

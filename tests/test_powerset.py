@@ -137,6 +137,22 @@ class TestSearch:
             lower_bound_rank_search(frontier, 7, target, rank_log)
         assert not rank_log and frontier.nodes_expanded == 0
 
+    @pytest.mark.parametrize(
+        "served, total",
+        [(IndexSubset((0,), True), 3), (IndexSubset((0,), 1.0), 3), (IndexSubset((0,), "1"), 1), (None, 1)],
+        ids=repr,
+    )
+    def test_stand_in_whose_final_sum_is_not_an_int_is_refused(self, served, total):
+        # True == 1 and 1.0 == 1, so without the check either would be returned as a match for target 1.
+        class StandIn:
+            def select(self, k):
+                return served
+
+        rank_log = []
+        with pytest.raises(InputError, match=r"^select must return a subset with an int sum, got .* for rank 1$"):
+            lower_bound_rank_search(StandIn(), total, 1, rank_log)
+        assert rank_log[-1] == 1
+
     def test_minimum_is_root(self):
         outcome = solve_positive(InputSet((2, 5, 7), 2))
         assert outcome.subset == (2,)

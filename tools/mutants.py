@@ -1,7 +1,9 @@
 """Run the test suite against a fixed list of mutants of src/ and print a kill table.
 
 Each mutant is one named, exact-string edit to one file under src/subsetsum/,
-or a few such edits to the same file when it moves a statement. Every edit
+or a few such edits to the same file when it moves a statement. An edit of a
+line that a file holds twice, as each rule's two drain loops do, names enough
+of the lines around it to pick one copy. Every edit
 must match its file exactly once, checked for the whole list
 before any mutant runs, so a refactor that moves the code fails loudly and
 the list gets updated; tools/test_mutants.py makes the same check in the
@@ -73,12 +75,62 @@ _CHECK = (
 _PUSH = "                heappush(heap, (child.cached_sum, next(seq), child))\n"
 _POP = "            heappop(heap)\n            popped.append(node)\n"
 _LOOP = "            for child in children:\n"
-# A rule's per-run write, the same for every frontier: the run, and its record.
+# A rule's per-run write, the same for every frontier and both forms: the run, and its record.
 _RECORD = (
+    "            head += len(run)\n"
     "            done += len(run)\n"
     "            runs.append(run)\n"
     "            ends.append(done)\n"
     "            totals.append(total)\n"
+)
+# Each rule holds its drain loop twice, once per form of the buckets, so a mutant of a line both copies share
+# names enough of its copy to match once: from the run to its first child's bucket, or from filing a child to the
+# run's record. The keyed copies read buckets.get and heappush; the slotted ones index slots.
+_RUN = (
+    "            run = bucket[head : head + count] if head or len(bucket) > count else bucket\n"
+    "            for mask in run:\n"
+)
+_SUBTREE_RUN = _RUN + (
+    "                past = mask.bit_length()\n"
+    "                if past < size:\n"
+    "                    first = (mask ^ below[past]).bit_length()  # the start of the top run\n"
+    "                    gained = total + scaled[past]\n"
+    "                    mask |= bit[past]\n"
+    "                    i = past - 1\n"
+    "                    while i >= first:\n"
+    "                        child_sum = gained - scaled[i]\n"
+    "                        pending = buckets.get(child_sum)\n"
+)
+_SUBTREE_FILED = (
+    "                            heappush(sums, child_sum)\n"
+    "                        else:\n"
+    "                            pending.append(mask ^ bit[i])\n"
+    "                        i -= 1\n"
+) + _RECORD
+_SLOTTED_SUBTREE_RUN = _SUBTREE_RUN.replace("buckets.get(child_sum)", "slots[child_sum]")
+_SLOTTED_SUBTREE_FILED = _SUBTREE_FILED.replace(
+    "heappush(sums, child_sum)", "slots[child_sum] = [mask ^ bit[i]]"
+)
+_BINHEAP_RUN = _RUN + (
+    "                nxt = mask.bit_length()\n"
+    "                if nxt >= size:\n"
+    "                    continue\n"
+    "                left = total + gap[nxt]\n"
+    "                pending = buckets.get(left)\n"
+)
+_BINHEAP_RIGHT = (
+    "                    heappush(sums, right)\n"
+    "                else:\n"
+    "                    pending.append(mask | bit[nxt])\n"
+)
+_SLOTTED_BINHEAP_RUN = _BINHEAP_RUN.replace("buckets.get(left)", "slots[left]")
+_SLOTTED_BINHEAP_RIGHT = _BINHEAP_RIGHT.replace("heappush(sums, right)", "slots[right] = [mask | bit[nxt]]")
+# Each rule's take step, keyed and slotted: the bucket of the smallest pending sum, or the first slot filed at or
+# above the cursor's sum.
+_TAKE = "            while head == len(bucket):  # drained: take the bucket of the smallest pending sum\n"
+_SLOTTED_TAKE = (
+    "            while head == len(bucket):  # drained: take the first bucket filed at or above the cursor's sum\n"
+    "                while slots[total] is None:\n"
 )
 # The public frontiers' select: a fresh list of runs per rule call, each run packed into the memo in order.
 _PACK = (
@@ -96,20 +148,40 @@ MUTANTS = (
         "if range_check and not low < scaled_target < high:",
     ),
     Mutant(
-        "binheap-drops-last-index", "the power-set rule never reaches the last index", "powerset.py",
-        "if nxt >= size:", "if nxt >= size - 1:",
+        "binheap-drops-last-index", "the keyed power-set rule never reaches the last index", "powerset.py",
+        _BINHEAP_RUN, _BINHEAP_RUN.replace("if nxt >= size:", "if nxt >= size - 1:"),
     ),
     Mutant(
-        "subtree-drops-last-index", "the fixed-length rule never advances onto the last index", "subset_tree.py",
-        "if past < size:", "if past < size - 1:",
+        "slotted-binheap-drops-last-index", "the slotted power-set rule never reaches the last index", "powerset.py",
+        _SLOTTED_BINHEAP_RUN, _SLOTTED_BINHEAP_RUN.replace("if nxt >= size:", "if nxt >= size - 1:"),
     ),
     Mutant(
-        "binheap-lifo", "LIFO within a sum: the power-set right child files at the front", "powerset.py",
-        "pending.append(mask | bit[nxt])", "pending.insert(0, mask | bit[nxt])",
+        "subtree-drops-last-index", "the keyed fixed-length rule never advances onto the last index",
+        "subset_tree.py",
+        _SUBTREE_RUN, _SUBTREE_RUN.replace("if past < size:", "if past < size - 1:"),
     ),
     Mutant(
-        "subtree-lifo", "LIFO within a sum: a fixed-length child files at the front", "subset_tree.py",
-        "pending.append(mask ^ bit[i])", "pending.insert(0, mask ^ bit[i])",
+        "slotted-subtree-drops-last-index", "the slotted fixed-length rule never advances onto the last index",
+        "subset_tree.py",
+        _SLOTTED_SUBTREE_RUN, _SLOTTED_SUBTREE_RUN.replace("if past < size:", "if past < size - 1:"),
+    ),
+    Mutant(
+        "binheap-lifo", "LIFO within a sum: the keyed power-set right child files at the front", "powerset.py",
+        _BINHEAP_RIGHT, _BINHEAP_RIGHT.replace("pending.append(", "pending.insert(0, "),
+    ),
+    Mutant(
+        "slotted-binheap-lifo", "LIFO within a sum: the slotted power-set right child files at the front",
+        "powerset.py",
+        _SLOTTED_BINHEAP_RIGHT, _SLOTTED_BINHEAP_RIGHT.replace("pending.append(", "pending.insert(0, "),
+    ),
+    Mutant(
+        "subtree-lifo", "LIFO within a sum: a keyed fixed-length child files at the front", "subset_tree.py",
+        _SUBTREE_FILED, _SUBTREE_FILED.replace("pending.append(", "pending.insert(0, "),
+    ),
+    Mutant(
+        "slotted-subtree-lifo", "LIFO within a sum: a slotted fixed-length child files at the front",
+        "subset_tree.py",
+        _SLOTTED_SUBTREE_FILED, _SLOTTED_SUBTREE_FILED.replace("pending.append(", "pending.insert(0, "),
     ),
     Mutant(
         "adapter-refuses-equal-sum", "Frontier(root, expand) refuses a child equal to its parent", "powerset.py",
@@ -163,14 +235,14 @@ MUTANTS = (
         "total += scaled[i]", "total += scaled[i] if mask != low else 0",
     ),
     Mutant(
-        "subtree-below-top-run", "the fixed-length rule also advances the bit just below the top run",
+        "subtree-below-top-run", "the keyed fixed-length rule also advances the bit just below the top run",
         "subset_tree.py",
-        "first = (mask ^ below[past]).bit_length()", "first = (mask ^ below[past]).bit_length() - 1",
+        _SUBTREE_RUN, _SUBTREE_RUN.replace(".bit_length()  #", ".bit_length() - 1  #"),
     ),
     Mutant(
-        "subtree-skips-run-start", "the fixed-length rule never advances the first bit of the top run",
+        "slotted-subtree-skips-run-start", "the slotted fixed-length rule never advances the first bit of the top run",
         "subset_tree.py",
-        "first = (mask ^ below[past]).bit_length()", "first = (mask ^ below[past]).bit_length() + 1",
+        _SLOTTED_SUBTREE_RUN, _SLOTTED_SUBTREE_RUN.replace(".bit_length()  #", ".bit_length() + 1  #"),
     ),
     Mutant(
         "binheap-gap-two-back", "the power-set rule's left-child gains are taken from two values back", "powerset.py",
@@ -198,18 +270,43 @@ MUTANTS = (
         "return self._decode(popped[k - 1])", "return self._decode(popped[k])",
     ),
     Mutant(
-        "capture-above-target", "the capture takes the first sum > target: the match bucket sits at target + 1",
+        "capture-above-target", "the keyed capture takes the first sum > target: the match bucket sits at target + 1",
         "powerset.py",
-        "self._buckets[target] = self.matched\n            self._sums.append(target)",
-        "self._buckets[target + 1] = self.matched\n            self._sums.append(target + 1)",
+        "self._buckets[target] = self.matched\n                self._sums.append(target)",
+        "self._buckets[target + 1] = self.matched\n                self._sums.append(target + 1)",
+    ),
+    Mutant(
+        "match-slot-one-high", "the slotted match bucket is registered one slot above the target's", "powerset.py",
+        "self._buckets[target - total] = self.matched", "self._buckets[target - total + 1] = self.matched",
+    ),
+    Mutant(
+        "slot-scan-past-own-sum", "the slotted take scans from the cursor's sum + 1: a tie with the parent is lost",
+        "subset_tree.py",
+        _SLOTTED_TAKE,
+        _SLOTTED_TAKE.replace("                while slots", "                total += 1\n                while slots"),
+    ),
+    Mutant(
+        "slot-taken-stays-filed", "the slotted power-set rule leaves a taken bucket in its slot", "powerset.py",
+        "bucket, head, slots[total] = slots[total], 0, None", "bucket, head = slots[total], 0",
+    ),
+    Mutant(
+        "slot-sum-not-rebased", "the solver's select does not add the root's sum back to a slotted record",
+        "powerset.py",
+        "self.cached_sum = totals[bisect_left(ends, k)] + self._root",
+        "self.cached_sum = totals[bisect_left(ends, k)]",
+    ),
+    Mutant(
+        "slotted-at-equal-range", "a tree whose sum range equals its size is slotted too", "powerset.py",
+        "if top - total < size:", "if top - total <= size:",
     ),
     Mutant(
         "capture-misses-root", "the capture misses a root that already has the target's sum", "powerset.py",
         "self.matched = [code] if target == total else []", "self.matched = []",
     ),
     Mutant(
-        "run-end-off-by-one", "the fixed-length rule records each run's last rank one short", "subset_tree.py",
-        "ends.append(done)", "ends.append(done - 1)",
+        "slotted-run-end-off-by-one", "the slotted fixed-length rule records each run's last rank one short",
+        "subset_tree.py",
+        _SLOTTED_SUBTREE_FILED, _SLOTTED_SUBTREE_FILED.replace("ends.append(done)", "ends.append(done - 1)"),
     ),
     Mutant(
         "split-run-recorded-twice", "a run split across rule calls keeps the record of its first part",
@@ -217,9 +314,14 @@ MUTANTS = (
         "if ends and cursor[1] < len(cursor[0]):", "if False:",
     ),
     Mutant(
-        "empty-bucket-opens-chunk", "a rule call may open on the empty match bucket and record it first",
-        "powerset.py",
-        "while cursor[1] == len(cursor[0]):", "if cursor[1] == len(cursor[0]):",
+        "empty-bucket-recorded", "the keyed fixed-length rule runs the empty match bucket and records it",
+        "subset_tree.py",
+        _TAKE, _TAKE.replace("while head", "if head"),
+    ),
+    Mutant(
+        "slotted-empty-bucket-recorded", "the slotted fixed-length rule runs the empty match bucket and records it",
+        "subset_tree.py",
+        _SLOTTED_TAKE, _SLOTTED_TAKE.replace("while head", "if head"),
     ),
     Mutant(
         "run-memo-packs-2-64", "the run memo packs a largest sum of 2^64 into 8-byte slots", "powerset.py",
@@ -277,27 +379,32 @@ MUTANTS = (
         "if not (isinstance(subset, IndexSubset) and type(subset.indices) is tuple):", "if False:",
     ),
     Mutant(
-        "run-overshoots", "the fixed-length rule takes a bucket whole even when it is longer than count",
+        "run-overshoots", "the keyed fixed-length rule takes a bucket whole even when it is longer than count",
         "subset_tree.py",
-        "run = bucket[head : head + count] if head or len(bucket) > count else bucket",
-        "run = bucket[head : head + count] if head else bucket",
+        _SUBTREE_RUN, _SUBTREE_RUN.replace(" if head or len(bucket) > count else", " if head else"),
     ),
     Mutant(
-        "binheap-run-overshoots", "the power-set rule takes a bucket whole even when it is longer than count",
+        "slotted-run-overshoots",
+        "the slotted fixed-length rule takes a bucket whole even when it is longer than count",
+        "subset_tree.py",
+        _SLOTTED_SUBTREE_RUN, _SLOTTED_SUBTREE_RUN.replace(" if head or len(bucket) > count else", " if head else"),
+    ),
+    Mutant(
+        "slotted-binheap-run-overshoots",
+        "the slotted power-set rule takes a bucket whole even when it is longer than count",
         "powerset.py",
-        "run = bucket[head : head + count] if head or len(bucket) > count else bucket",
-        "run = bucket[head : head + count] if head else bucket",
+        _SLOTTED_BINHEAP_RUN, _SLOTTED_BINHEAP_RUN.replace(" if head or len(bucket) > count else", " if head else"),
     ),
     Mutant(
-        "drained-bucket-stays-registered", "the fixed-length rule reads buckets[total] in place of buckets.pop(total)",
+        "drained-bucket-stays-registered",
+        "the keyed fixed-length rule reads buckets[total] in place of buckets.pop(total)",
         "subset_tree.py",
         "bucket, head = buckets.pop(total), 0", "bucket, head = buckets[total], 0",
     ),
     Mutant(
         "binheap-drained-bucket-stays-registered",
-        "the power-set rule reads buckets[total] in place of buckets.pop(total)", "powerset.py",
-        "            bucket, head = buckets.pop(total), 0\n        cursor",
-        "            bucket, head = buckets[total], 0\n        cursor",
+        "the keyed power-set rule reads buckets[total] in place of buckets.pop(total)", "powerset.py",
+        "bucket, head = buckets.pop(total), 0", "bucket, head = buckets[total], 0",
     ),
     Mutant(
         "packed-memo-admits-65-bits", "the memo packs codes of up to 65 bits into 8-byte slots", "powerset.py",
@@ -357,9 +464,9 @@ MUTANTS = (
     ),
     Mutant(
         "equivalent-memo-before-run",
-        "control: the fixed-length rule writes each run and its record before expanding it", "subset_tree.py",
-        (_RECORD, "            for mask in run:\n"),
-        ("", _RECORD + "            for mask in run:\n"),
+        "control: the keyed fixed-length rule writes each run and its record before expanding it", "subset_tree.py",
+        (_SUBTREE_FILED, _SUBTREE_RUN),
+        (_SUBTREE_FILED.replace(_RECORD, ""), _SUBTREE_RUN.replace("            for", _RECORD + "            for")),
         equivalent=True,
     ),
     Mutant(
